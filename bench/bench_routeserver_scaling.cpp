@@ -689,7 +689,8 @@ int main(int argc, char** argv) {
               static_cast<std::uint64_t>(batched.delivered));
       // Ledgers from the batched run: the fast path must carry the frames
       // and the coalescer must actually coalesce (check.sh --bench gates on
-      // these being non-zero).
+      // these being non-zero). The unbatched run, at a frame cap of 1, must
+      // coalesce nothing (check.sh --bench gates on that being zero).
       const util::Json& m = batched.metrics;
       row.set("frames_routed", counter_of(m, "routeserver.frames_routed"));
       row.set("fast_path_frames",
@@ -698,11 +699,11 @@ int main(int argc, char** argv) {
               counter_of(m, "routeserver.slow_path_frames"));
       row.set("payload_allocs", counter_of(m, "routeserver.payload_allocs"));
       row.set("bytes_copied", counter_of(m, "routeserver.bytes_copied"));
-      row.set("allocs_avoided", counter_of(m, "routeserver.allocs_avoided"));
-      row.set("copies_avoided", counter_of(m, "routeserver.copies_avoided"));
       row.set("egress_flushes", counter_of(m, "routeserver.egress_flushes"));
       row.set("frames_coalesced",
               counter_of(m, "routeserver.frames_coalesced"));
+      row.set("unbatched_frames_coalesced",
+              counter_of(unbatched.metrics, "routeserver.frames_coalesced"));
       set_hist(row, m, "routeserver.forward_ns", "forward_ns");
       set_hist(row, m, "routeserver.egress_batch_frames", "egress_batch");
       set_hist(row, m, "routeserver.decode_batch_frames", "decode_batch");

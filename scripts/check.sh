@@ -41,6 +41,7 @@
 #   --bench    forwarding-bench smoke: run bench_routeserver_scaling in
 #              --quick mode and assert every emitted row actually drove the
 #              forward fast path (fast_path_frames > 0, frames_routed > 0),
+#              that its unbatched run (frame cap 1) coalesced nothing,
 #              and that the sharded sweep still scales (critical-path CPU
 #              speedup at 2 shards, zero wire-ring drops). Catches a bench
 #              regression where frames stop traversing decode -> port
@@ -194,6 +195,8 @@ for row in rows:
     where = f"users={row['users']} transport={row['transport']}"
     assert row["frames_routed"] > 0, f"{where}: frames_routed == 0"
     assert row["fast_path_frames"] > 0, f"{where}: fast_path_frames == 0"
+    assert row["unbatched_frames_coalesced"] == 0, \
+        f"{where}: unbatched run coalesced {row['unbatched_frames_coalesced']} frames"
 sharded = report["sharded_rows"]
 assert sharded, "bench emitted no sharded rows"
 for row in sharded:

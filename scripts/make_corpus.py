@@ -172,7 +172,7 @@ write("api", "huge_numbers.txt",
       '"end_s":-1e300}}\n'
       '{"method":"design.connect","params":{"design_id":1,"a":1,"b":2,'
       '"wan":{"delay_us":1e300,"jitter_us":-1e300}}}\n'
-      '{"method":"metrics.flight","params":{"port_id":1e15}}\n')
+      '{"method":"capture.start","params":{"port_id":1e15}}\n')
 write("api", "malformed.txt",
       "not json at all\n"
       "{\n"

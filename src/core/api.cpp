@@ -310,8 +310,6 @@ util::Json ApiServer::dispatch(const std::string& method,
     dataplane.set("slow_path_frames", stats.dataplane.slow_path_frames);
     dataplane.set("payload_allocs", stats.dataplane.payload_allocs);
     dataplane.set("bytes_copied", stats.dataplane.bytes_copied);
-    dataplane.set("allocs_avoided", stats.dataplane.allocs_avoided);
-    dataplane.set("copies_avoided", stats.dataplane.copies_avoided);
     result.set("dataplane", std::move(dataplane));
     return ok(std::move(result));
   }
@@ -323,29 +321,6 @@ util::Json ApiServer::dispatch(const std::string& method,
   if (method == "metrics.prometheus") {
     util::Json result = util::Json::object();
     result.set("text", service_.metrics().to_prometheus());
-    return ok(std::move(result));
-  }
-  if (method == "metrics.flight") {
-    const util::FlightRecorder& flight =
-        service_.route_server().flight_recorder();
-    auto events = params["port_id"].is_null()
-                      ? flight.dump()
-                      : flight.dump_port(static_cast<wire::PortId>(
-                            params["port_id"].as_int()));
-    util::Json list = util::Json::array();
-    for (const auto& event : events) {
-      util::Json e = util::Json::object();
-      e.set("src_port", event.src_port);
-      e.set("dst_port", event.dst_port);
-      e.set("size", event.size);
-      e.set("at_us", event.at.nanos / 1000);
-      e.set("forward_ns", event.forward_ns);
-      e.set("kind", util::to_string(event.kind));
-      list.push_back(std::move(e));
-    }
-    util::Json result = util::Json::object();
-    result.set("events", std::move(list));
-    result.set("total", flight.total());
     return ok(std::move(result));
   }
   // ---- tracing (DESIGN.md "Tracing") ----

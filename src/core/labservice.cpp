@@ -232,7 +232,6 @@ util::Result<DeploymentId> LabService::deploy(DesignId id) {
   deployment.reservation = *reservation;
   DeploymentId deployment_id = deployment.id;
   deployments_[deployment_id] = std::move(deployment);
-  ++deploys_performed_;
 
   // Automatic configuration restore (§2.1: "If a router configuration is
   // saved, when the users deploy the design, the configuration file is

@@ -146,10 +146,6 @@ class LabService {
                                     util::Duration interval,
                                     int seq_offset = -1);
 
-  [[nodiscard]] std::uint64_t deploys_performed() const {
-    return deploys_performed_;
-  }
-
  private:
   struct DesignSession {
     std::string user;
@@ -174,7 +170,6 @@ class LabService {
   Store* store_ = nullptr;
   DesignId next_design_id_ = 1;
   DeploymentId next_deployment_id_ = 1;
-  std::uint64_t deploys_performed_ = 0;
   // Keeps the periodic expiry sweep alive; destroying the service stops it.
   std::shared_ptr<std::function<void()>> sweeper_;
 };

@@ -414,15 +414,11 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
     }
     return;
   }
-  const bool batching = uplink_batch_frames_ > 1;
   util::ByteWriter& w = send_buffer_;
-  // Batching: append behind the frames captured earlier in this burst.
-  // Opening a batch (pending_uplink_frames_ == 0) clears the buffer first:
-  // an unbatched send leaves its frame behind (no clear after send), and
-  // flush_uplink's empty-batch early return skips the clear — without this,
-  // enabling batching after running unbatched would re-send the previous
-  // frame at the head of the first batch. Unbatched: one frame per send.
-  if (!batching || pending_uplink_frames_ == 0) w.clear();
+  // Append behind the frames captured earlier in this burst. Opening a
+  // batch (pending_uplink_frames_ == 0) clears the buffer first, so a batch
+  // never starts behind bytes an earlier one left.
+  if (pending_uplink_frames_ == 0) w.clear();
   const std::size_t cap_before = w.capacity();
   bool sent_compressed = false;
   if (compression_enabled_) {
@@ -450,18 +446,16 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   bool grew = w.capacity() != cap_before;
   if (grew) ++stats_.payload_allocs;
   if (!grew && !compression_enabled_) ++stats_.fast_path_frames;
-  if (!batching) {
-    ++stats_.egress_flushes;
-    egress_batch_hist_->record(1);
-    transport_->send(w.view());
-    return;
-  }
-  if (pending_uplink_frames_ == 0) schedule_uplink_flush();
   ++pending_uplink_frames_;
   if (uplink_batch_trace_id_ == 0) uplink_batch_trace_id_ = trace_id;
+  // A frame cap of 1 flushes every frame here. Only a batch this append
+  // opened and left open arms the end-of-burst task, so a frame that
+  // flushes at once costs no scheduler event.
   if (pending_uplink_frames_ >= uplink_batch_frames_ ||
       w.size() >= uplink_batch_bytes_) {
     flush_uplink();
+  } else if (pending_uplink_frames_ == 1) {
+    schedule_uplink_flush();
   }
 }
 

@@ -64,7 +64,7 @@ struct RisStats {
   std::uint64_t shed_frames = 0;
   /// Uplink coalescing: transport writes that carried at least one data
   /// frame, and the writes avoided by batching (frames beyond the first of
-  /// each flush). Unbatched, egress_flushes tracks frames_up and
+  /// each flush). At a frame cap of 1, egress_flushes tracks frames_up and
   /// frames_coalesced stays zero.
   std::uint64_t egress_flushes = 0;
   std::uint64_t frames_coalesced = 0;
@@ -173,9 +173,10 @@ class RouterInterface {
   // the transport in one write. A batch flushes when it reaches
   // `max_frames` frames or `max_bytes` buffered bytes, before any control
   // frame (JOIN, keepalive, console, leave — FIFO across classes), and at
-  // a zero-delay scheduled task armed when the batch opens, i.e. after
-  // every event already queued at the current instant has run — so a burst
-  // of captures coalesces but a lone frame never waits for wall time.
+  // a zero-delay scheduled task armed when an append leaves a one-frame
+  // batch open, i.e. after every event already queued at the current
+  // instant has run — so a burst of captures coalesces but a lone frame
+  // never waits for wall time.
   // Frames are never split across writes; the per-frame shed check
   // (writable()) still runs before each frame touches the compressor ring.
 
@@ -183,8 +184,9 @@ class RouterInterface {
   /// batching cannot defeat shedding.
   static constexpr std::size_t kDefaultUplinkBatchFrames = 32;
   static constexpr std::size_t kDefaultUplinkBatchBytes = 16 * 1024;
-  /// `max_frames` <= 1 disables coalescing (one write per captured frame).
-  /// `max_bytes` == 0 means no byte budget.
+  /// `max_frames` <= 1 disables coalescing: every captured frame flushes on
+  /// append, one write per frame and no scheduled flush. `max_bytes` == 0
+  /// means no byte budget.
   void set_uplink_batching(std::size_t max_frames, std::size_t max_bytes);
 
   [[nodiscard]] const RisStats& stats() const { return stats_; }
@@ -317,7 +319,7 @@ class RouterInterface {
   std::string metrics_prefix_;
   util::Histogram* capture_hist_ = nullptr;
   util::Histogram* replay_hist_ = nullptr;
-  /// Data frames per uplink flush (all 1s when batching is off).
+  /// Data frames per uplink flush (all 1s at a frame cap of 1).
   util::Histogram* egress_batch_hist_ = nullptr;
   /// Distribution of the (jittered) delays the reconnect machine slept.
   util::Histogram* backoff_hist_ = nullptr;

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#ifdef RNL_DATAPLANE_CYCLES
-#include <chrono>
-#endif
-
 #include "util/check.h"
 #include "util/logging.h"
 
@@ -13,24 +9,6 @@ namespace rnl::routeserver {
 
 namespace {
 constexpr const char* kLog = "routeserver";
-
-#ifdef RNL_DATAPLANE_CYCLES
-std::uint64_t stage_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-#define RNL_STAGE_START(var) const std::uint64_t var = stage_clock_ns()
-#define RNL_STAGE_END(var, counter) (counter) += stage_clock_ns() - (var)
-#else
-#define RNL_STAGE_START(var) \
-  do {                       \
-  } while (false)
-#define RNL_STAGE_END(var, counter) \
-  do {                              \
-  } while (false)
-#endif
 }  // namespace
 
 RouteServer::RouteServer(simnet::Scheduler& scheduler,
@@ -77,12 +55,8 @@ RouteServer::RouteServer(simnet::Scheduler& scheduler,
   expose("routeserver.slow_path_frames", &stats_.dataplane.slow_path_frames);
   expose("routeserver.payload_allocs", &stats_.dataplane.payload_allocs);
   expose("routeserver.bytes_copied", &stats_.dataplane.bytes_copied);
-  expose("routeserver.allocs_avoided", &stats_.dataplane.allocs_avoided);
-  expose("routeserver.copies_avoided", &stats_.dataplane.copies_avoided);
   expose("routeserver.egress_flushes", &stats_.dataplane.egress_flushes);
   expose("routeserver.frames_coalesced", &stats_.dataplane.frames_coalesced);
-  metrics_->probe_counter("routeserver.flight_events",
-                          [this] { return flight_.total(); });
   metrics_->probe_gauge("routeserver.sites", [this] {
     return static_cast<std::int64_t>(sites_.size());
   });
@@ -312,8 +286,6 @@ void RouteServer::evict_for_overload(Site* site, EgressVerdict verdict) {
                                ? "egress hard cap"
                                : "stall deadline")
                        << ", " << egress_queued(site) << " bytes queued)";
-  flight_.record({0, 0, 0, scheduler_.now(), 0,
-                  util::FlightRecorder::EventKind::kEvicted});
   trace_instant(util::TraceInstant::kEviction, 0,
                 static_cast<std::uint32_t>(egress_queued(site)));
   // Deferred control dies with the session: the peer rejoins with a clean
@@ -457,9 +429,7 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
   // every frame the chunk completed.
   const bool trace_decode = tracing();
   const std::uint64_t decode_t0 = trace_decode ? util::monotonic_ns() : 0;
-  RNL_STAGE_START(decode_start);
   const auto& messages = site->decoder.feed_views(chunk);
-  RNL_STAGE_END(decode_start, stats_.dataplane.decode_ns);
   if (trace_decode && !messages.empty()) {
     // Attribute the batch span to its first traced frame (a batch mixes
     // traced and untraced frames; untraced-only batches emit nothing).
@@ -758,7 +728,6 @@ void RouteServer::handle_data(Site* site,
       return;
     }
   }
-  RNL_STAGE_START(route_start);
   util::BytesView frame;
   bool slow = false;
   if (msg.compressed) {
@@ -789,20 +758,16 @@ void RouteServer::handle_data(Site* site,
     ++stats_.unrouted_drops;
     trace_instant(util::TraceInstant::kUnroutedDrop, msg.trace_id,
                   msg.port_id);
-    flight_.record({msg.port_id, 0, static_cast<std::uint32_t>(frame.size()),
-                    scheduler_.now(), 0,
-                    util::FlightRecorder::EventKind::kUnrouted});
     return;
   }
   const WireEnd& wire_end = matrix_[msg.port_id];
   ++stats_.frames_routed;
   stats_.bytes_routed += frame.size();
-  RNL_STAGE_END(route_start, stats_.dataplane.route_ns);
   // Forward latency: host time from the routing decision to the encoded
   // bytes reaching the transport (for an impaired wire: the WAN hand-off).
   // Recorded once per routed frame, so the histogram's count always equals
-  // frames_routed. Budget: two clock reads + one histogram add + one ring
-  // write per frame, no allocation — the fast path stays allocation-free.
+  // frames_routed. Budget: two clock reads + one histogram add per frame,
+  // no allocation — the fast path stays allocation-free.
   const std::uint64_t forward_start = util::monotonic_ns();
   if (wire_end.netem != nullptr) {
     wire_end.netem->send(frame);  // sink delivers to the peer after the WAN
@@ -846,11 +811,6 @@ void RouteServer::handle_data(Site* site,
                         tracer_->tail_threshold_ns(), msg.port_id,
                         wire_end.peer});
   }
-  flight_.record({msg.port_id, wire_end.peer,
-                  static_cast<std::uint32_t>(frame.size()), scheduler_.now(),
-                  static_cast<std::uint32_t>(
-                      forward_ns > UINT32_MAX ? UINT32_MAX : forward_ns),
-                  util::FlightRecorder::EventKind::kRouted});
 }
 
 void RouteServer::deliver_remote(wire::PortId port, util::BytesView frame,
@@ -884,9 +844,6 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
   if (verdict == EgressVerdict::kShedding) {
     ++stats_.shed_data_frames;
     trace_instant(util::TraceInstant::kShedDrop, trace_id, port);
-    flight_.record({0, port, static_cast<std::uint32_t>(frame.size()),
-                    scheduler_.now(), 0,
-                    util::FlightRecorder::EventKind::kShed});
     return;
   }
 
@@ -895,17 +852,14 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
     slow = true;
   }
 
-  RNL_STAGE_START(encode_start);
-  const bool batching = batch_max_frames_ > 1;
   util::ByteWriter& w = site->send_buffer;
-  // Batching: append behind the frames already accumulated this burst.
-  // Opening a batch (pending_data_frames == 0) clears the buffer first —
-  // send_control shares it and leaves its encoded control frame behind on
-  // both the send and defer paths, and flush_site's empty-batch early
-  // return never clears. Without this, that residue would be re-sent at
-  // the head of the next batch and counted by pending_data_bytes.
-  // Unbatched: the buffer holds exactly one frame.
-  if (!batching || site->pending_data_frames == 0) w.clear();
+  // Append behind the frames already accumulated this burst. Opening a
+  // batch (pending_data_frames == 0) clears the buffer first — send_control
+  // shares it and leaves its encoded control frame behind on both the send
+  // and defer paths, and flush_site's empty-batch early return never
+  // clears. Without this, that residue would be re-sent at the head of the
+  // next batch and counted by pending_data_bytes.
+  if (site->pending_data_frames == 0) w.clear();
   const std::size_t cap_before = w.capacity();
   bool sent_compressed = false;
   if (compression_enabled_) {
@@ -936,39 +890,29 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
     slow = true;
   }
   stats_.dataplane.bytes_copied += frame.size();
-  if (batching) {
-    if (!site->in_flush_list) {
-      flush_list_.push_back(site);
-      site->in_flush_list = true;
-    }
-    ++site->pending_data_frames;
-    site->pending_data_bytes = w.size();
-    if (site->batch_trace_id == 0) site->batch_trace_id = trace_id;
-    // Flush on the frame/byte caps — and the moment the batch pushes the
-    // site's egress over the high watermark, so the transport sees the
-    // bytes now and backpressure (shedding, hard cap, drain callbacks)
-    // engages per-frame instead of a whole batch late. The frame itself is
-    // always appended whole first: batching never splits a frame.
-    if (site->pending_data_frames >= batch_max_frames_ ||
-        site->pending_data_bytes >= batch_max_bytes_ ||
-        (egress_high_ != 0 && egress_queued(site) >= egress_high_)) {
-      flush_site(site);
-    }
-  } else {
-    ++stats_.dataplane.egress_flushes;
-    egress_batch_hist_->record(1);
-    site->transport->send(w.view());
+  ++site->pending_data_frames;
+  site->pending_data_bytes = w.size();
+  if (site->batch_trace_id == 0) site->batch_trace_id = trace_id;
+  // Flush on the frame/byte caps (a frame cap of 1 flushes every frame
+  // here) — and the moment the batch pushes the site's egress over the
+  // high watermark, so the transport sees the bytes now and backpressure
+  // (shedding, hard cap, drain callbacks) engages per-frame instead of a
+  // whole batch late. The frame itself is always appended whole first:
+  // batching never splits a frame. A batch left open waits in flush_list_
+  // for the end-of-burst flush.
+  if (site->pending_data_frames >= batch_max_frames_ ||
+      site->pending_data_bytes >= batch_max_bytes_ ||
+      (egress_high_ != 0 && egress_queued(site) >= egress_high_)) {
+    flush_site(site);
+  } else if (!site->in_flush_list) {
+    flush_list_.push_back(site);
+    site->in_flush_list = true;
   }
-  RNL_STAGE_END(encode_start, stats_.dataplane.encode_send_ns);
 
   if (slow) {
     ++stats_.dataplane.slow_path_frames;
   } else {
     ++stats_.dataplane.fast_path_frames;
-    // The copying design allocated the decoder payload, the TunnelMessage
-    // payload, and the encoded wire buffer, copying the frame into each.
-    stats_.dataplane.allocs_avoided += 3;
-    stats_.dataplane.copies_avoided += 2;
   }
 }
 
@@ -1250,11 +1194,6 @@ util::Status RouteServer::inject_frame(wire::PortId port,
   flush_pending();
   const std::uint64_t forward_ns = util::monotonic_ns() - forward_start;
   inject_hist_->record(forward_ns);
-  flight_.record({0, port, static_cast<std::uint32_t>(frame.size()),
-                  scheduler_.now(),
-                  static_cast<std::uint32_t>(
-                      forward_ns > UINT32_MAX ? UINT32_MAX : forward_ns),
-                  util::FlightRecorder::EventKind::kInjected});
   return util::Status::Ok();
 }
 

@@ -86,27 +86,14 @@ struct DataPlaneStats {
   /// Payload bytes memcpy'd into send buffers (the one copy that remains:
   /// framing the payload behind its header for the transport).
   std::uint64_t bytes_copied = 0;
-  /// What the pre-zero-copy design would have spent: per fast-path frame it
-  /// allocated 3 owning buffers (decoder payload, TunnelMessage payload,
-  /// encoded wire bytes) and copied the payload 2 extra times.
-  std::uint64_t allocs_avoided = 0;
-  std::uint64_t copies_avoided = 0;
   /// Egress coalescing: transport writes that carried at least one data
   /// frame. With batching on, several forwarded frames share one write;
   /// frames_coalesced counts the transport sends avoided that way
-  /// (batched frames beyond the first of each flush). With batching off,
-  /// egress_flushes == fast_path_frames + slow_path_frames (per routed
+  /// (batched frames beyond the first of each flush). At a frame cap of 1,
+  /// egress_flushes == fast_path_frames + slow_path_frames (per delivered
   /// frame) and frames_coalesced stays zero.
   std::uint64_t egress_flushes = 0;
   std::uint64_t frames_coalesced = 0;
-#ifdef RNL_DATAPLANE_CYCLES
-  /// Per-stage wall time (nanoseconds), compiled in with -DRNL_DATAPLANE_CYCLES
-  /// (CMake option RNL_DATAPLANE_CYCLES). Off by default: reading the clock
-  /// twice per stage is itself a per-frame cost.
-  std::uint64_t decode_ns = 0;
-  std::uint64_t route_ns = 0;
-  std::uint64_t encode_send_ns = 0;
-#endif
 };
 
 struct RouteServerStats {
@@ -314,8 +301,8 @@ class RouteServer {
   /// a batch stays well below the default egress watermarks.
   static constexpr std::size_t kDefaultEgressBatchFrames = 32;
   static constexpr std::size_t kDefaultEgressBatchBytes = 32 * 1024;
-  /// `max_frames` <= 1 disables coalescing (one write per frame — the
-  /// pre-batching behaviour). `max_bytes` == 0 means no byte budget.
+  /// `max_frames` <= 1 disables coalescing: every frame flushes on append,
+  /// one write per frame. `max_bytes` == 0 means no byte budget.
   void set_egress_batching(std::size_t max_frames, std::size_t max_bytes);
   /// How long a site may stay in the shedding regime without draining back
   /// to the low watermark before it is evicted. Zero disables.
@@ -390,12 +377,6 @@ class RouteServer {
   /// tid), so shards sharing one tracer get distinct rings.
   void set_tracer(util::Tracer* tracer, const std::string& ring_label);
   [[nodiscard]] util::Tracer* tracer() const { return tracer_; }
-  /// Ring of the last N data-plane frame events (default 512; capacity 0
-  /// disables). One ring write per routed/dropped/injected frame.
-  [[nodiscard]] util::FlightRecorder& flight_recorder() { return flight_; }
-  [[nodiscard]] const util::FlightRecorder& flight_recorder() const {
-    return flight_;
-  }
 
  private:
   struct Site {
@@ -527,7 +508,7 @@ class RouteServer {
   /// and reports whether it must be evicted. Does not evict by itself so
   /// sweep callers can defer the close out of their iteration.
   EgressVerdict egress_verdict(Site* site);
-  /// Books the eviction (stats, flight event, log) and closes the site's
+  /// Books the eviction (stats, trace instant, log) and closes the site's
   /// transport — the close handler runs the un-orderly remove_site(), so
   /// the site rejoins through the epoch machinery.
   void evict_for_overload(Site* site, EgressVerdict verdict);
@@ -627,7 +608,6 @@ class RouteServer {
   util::Histogram* decode_batch_hist_ = nullptr;
   util::Histogram* netem_delay_hist_ = nullptr;
   util::Histogram* compression_ratio_hist_ = nullptr;
-  util::FlightRecorder flight_;
   util::Tracer* tracer_ = nullptr;
   util::SpanRing* trace_ring_ = nullptr;  // the server's own ring
 };

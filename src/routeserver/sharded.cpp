@@ -62,15 +62,8 @@ void accumulate(RouteServerStats& total, const RouteServerStats& part) {
   total.dataplane.slow_path_frames += part.dataplane.slow_path_frames;
   total.dataplane.payload_allocs += part.dataplane.payload_allocs;
   total.dataplane.bytes_copied += part.dataplane.bytes_copied;
-  total.dataplane.allocs_avoided += part.dataplane.allocs_avoided;
-  total.dataplane.copies_avoided += part.dataplane.copies_avoided;
   total.dataplane.egress_flushes += part.dataplane.egress_flushes;
   total.dataplane.frames_coalesced += part.dataplane.frames_coalesced;
-#ifdef RNL_DATAPLANE_CYCLES
-  total.dataplane.decode_ns += part.dataplane.decode_ns;
-  total.dataplane.route_ns += part.dataplane.route_ns;
-  total.dataplane.encode_send_ns += part.dataplane.encode_send_ns;
-#endif
 }
 
 }  // namespace
@@ -212,18 +205,12 @@ void ShardedRouteServer::place(PendingSite* pending) {
   pending->transport->set_receive_handler(nullptr);
   pending->transport->set_close_handler(nullptr);
   const std::size_t s = shard_of_site(pending->site_name);
-  if (placement_) {
-    placement_(s, std::move(pending->transport),
-               std::move(pending->buffered));
-    return;
-  }
   if (running()) {
     // A live transport is bound to this (dispatch) thread's event loop;
     // handing the object itself to a shard thread would split one
-    // connection across two threads. Migration is transport-specific
-    // (TcpTransport::release_fd), so it must come from a handler.
+    // connection across two threads, and nothing migrates it.
     RNL_LOG(kError, kLog)
-        << "no placement handler while shards are threaded; closing '"
+        << "cannot place a site while shards are threaded; closing '"
         << pending->site_name << "'";
     pending->transport->close();
     return;

@@ -104,12 +104,6 @@ class ShardedRouteServer {
   [[nodiscard]] RouteServer& shard(std::size_t s) {
     return *shards_[s]->server;
   }
-  [[nodiscard]] util::MetricsRegistry& shard_metrics(std::size_t s) {
-    return *shards_[s]->metrics;
-  }
-  [[nodiscard]] simnet::Scheduler& shard_scheduler(std::size_t s) {
-    return *shards_[s]->scheduler;
-  }
 
   // -- Site intake --
 
@@ -124,21 +118,12 @@ class ShardedRouteServer {
   void dispatch(std::unique_ptr<transport::Transport> transport);
   /// Places every pending connection whose JOIN has arrived and reaps
   /// failed ones. Call from the dispatch thread's loop — never from inside
-  /// a transport callback (placement re-targets the handlers).
+  /// a transport callback (placement re-targets the handlers). Placement is
+  /// cooperative-mode only: while shards run threaded it logs and closes
+  /// the connection, since a live transport is bound to this thread's loop.
   void pump_dispatch();
   [[nodiscard]] std::size_t pending_dispatch() const {
     return pending_.size();
-  }
-  /// Threaded placement hook: invoked by pump_dispatch with the target
-  /// shard, the transport, and the bytes buffered pre-JOIN. Needed because
-  /// a live transport is bound to the dispatch thread's event loop; the
-  /// handler migrates it (e.g. TcpTransport::release_fd + rewrap on the
-  /// shard's loop) and posts the accept. Without a handler, cooperative
-  /// mode places inline; threaded mode refuses (logged + closed).
-  using PlacementHandler = std::function<void(
-      std::size_t, std::unique_ptr<transport::Transport>, util::Bytes)>;
-  void set_placement_handler(PlacementHandler handler) {
-    placement_ = std::move(handler);
   }
 
   // -- Control plane (callable from the control thread in either mode) --
@@ -227,7 +212,6 @@ class ShardedRouteServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::vector<std::unique_ptr<PendingSite>> pending_;
-  PlacementHandler placement_;
 };
 
 }  // namespace rnl::routeserver

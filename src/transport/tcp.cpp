@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "util/check.h"
 #include "util/logging.h"
 
 namespace rnl::transport {
@@ -206,20 +205,6 @@ void TcpTransport::set_receive_handler(ReceiveHandler handler) {
 
 void TcpTransport::set_close_handler(CloseHandler handler) {
   close_handler_ = std::move(handler);
-}
-
-int TcpTransport::release_fd() {
-  if (fd_ < 0) return -1;
-  RNL_DCHECK(write_buffer_.empty());
-  if (*loop_alive_) loop_.unwatch(fd_);
-  const int fd = fd_;
-  fd_ = -1;
-  // No close_handler_ call: the connection is alive, just changing owners.
-  receive_handler_ = nullptr;
-  close_handler_ = nullptr;
-  drain_handler_ = nullptr;
-  read_spill_.clear();
-  return fd;
 }
 
 void TcpTransport::close() {

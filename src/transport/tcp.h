@@ -88,14 +88,6 @@ class TcpTransport final : public Transport {
     drain_handler_ = std::move(handler);
   }
 
-  /// Detaches and returns the socket without closing it, unregistering
-  /// from this loop and dropping all handlers. The sharded dispatch layer
-  /// uses this to migrate an accepted connection to the owning shard's
-  /// event loop (wrap the fd in a new TcpTransport there). Only valid with
-  /// an empty write buffer — the front door never writes before the JOIN.
-  /// Returns -1 if already closed. The transport is closed afterwards.
-  [[nodiscard]] int release_fd();
-
  private:
   void on_readable();
   void on_writable();

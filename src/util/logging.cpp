@@ -75,7 +75,7 @@ void Logger::write(LogLevel level, std::string_view component,
   std::lock_guard<std::mutex> lock(g_sink_mutex);
   if (sink_) {
     // Monotonic seconds since process start — the same clock the metrics
-    // histograms and flight recorder sample, so traces and logs correlate.
+    // histograms and trace spans sample, so traces and logs correlate.
     std::string stamp =
         format("%.6f ", static_cast<double>(monotonic_ns()) / 1e9);
     std::string line;

@@ -22,7 +22,7 @@ std::optional<LogLevel> level_from_string(std::string_view name);
 /// Global log configuration. Messages below `threshold` are dropped before
 /// formatting. The sink is invoked with the fully formatted line, which
 /// carries a monotonic wall-clock timestamp prefix ("12.345678 component:
-/// msg") so log lines correlate with the metrics flight recorder.
+/// msg") so log lines correlate with trace spans.
 class Logger {
  public:
   using Sink = std::function<void(LogLevel, const std::string&)>;

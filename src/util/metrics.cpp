@@ -21,60 +21,6 @@ std::uint64_t monotonic_ns() {
 // the concurrency traits so the model checker can instantiate them.
 
 // ---------------------------------------------------------------------------
-// FlightRecorder
-// ---------------------------------------------------------------------------
-
-FlightRecorder::FlightRecorder(std::size_t capacity) { set_capacity(capacity); }
-
-void FlightRecorder::set_capacity(std::size_t capacity) {
-  ring_.assign(capacity, Event{});
-  next_ = 0;
-  total_ = 0;
-}
-
-std::vector<FlightRecorder::Event> FlightRecorder::dump() const {
-  std::vector<Event> out;
-  if (ring_.empty() || total_ == 0) return out;
-  const std::size_t retained =
-      total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
-  out.reserve(retained);
-  // Oldest retained event: ring start before the first wrap, next_ after.
-  std::size_t index = total_ < ring_.size() ? 0 : next_;
-  for (std::size_t i = 0; i < retained; ++i) {
-    out.push_back(ring_[index]);
-    index = index + 1 == ring_.size() ? 0 : index + 1;
-  }
-  return out;
-}
-
-std::vector<FlightRecorder::Event> FlightRecorder::dump_port(
-    std::uint32_t port) const {
-  std::vector<Event> out;
-  for (const Event& event : dump()) {
-    if (event.src_port == port || event.dst_port == port) {
-      out.push_back(event);
-    }
-  }
-  return out;
-}
-
-std::string_view to_string(FlightRecorder::EventKind kind) {
-  switch (kind) {
-    case FlightRecorder::EventKind::kRouted:
-      return "routed";
-    case FlightRecorder::EventKind::kUnrouted:
-      return "unrouted";
-    case FlightRecorder::EventKind::kInjected:
-      return "injected";
-    case FlightRecorder::EventKind::kShed:
-      return "shed";
-    case FlightRecorder::EventKind::kEvicted:
-      return "evicted";
-  }
-  return "?";
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // Process-wide metrics: named counters, gauges, and fixed-bucket log2
-// latency histograms, plus a bounded per-frame flight recorder.
+// latency histograms.
 //
 // Cost model (the data plane records per frame, so this is a contract):
 //   - Counter/Gauge/Histogram writes are a handful of arithmetic ops on a
@@ -52,7 +52,6 @@
 
 #include "util/concurrency.h"
 #include "util/json.h"
-#include "util/time.h"
 
 namespace rnl::util {
 
@@ -221,64 +220,6 @@ class BasicHistogram {
 using Counter = BasicCounter<StdConcurrency>;
 using Gauge = BasicGauge<StdConcurrency>;
 using Histogram = BasicHistogram<StdConcurrency>;
-
-/// Bounded ring of the last N per-frame events on the route server's data
-/// plane — enough to reconstruct where a misrouted frame went without
-/// running a capture. Steady-state cost is one ring write per frame.
-class FlightRecorder {
- public:
-  enum class EventKind : std::uint8_t {
-    kRouted = 0,    // matrix hit: forwarded toward dst_port
-    kUnrouted = 1,  // no matrix entry: dropped (dst_port = 0)
-    kInjected = 2,  // API-injected straight into dst_port (src_port = 0)
-    kShed = 3,      // dropped by overload protection: dst site was shedding
-    kEvicted = 4,   // dst site evicted (hard cap / stall deadline); size = 0
-  };
-
-  struct Event {
-    std::uint32_t src_port = 0;
-    std::uint32_t dst_port = 0;
-    std::uint32_t size = 0;
-    /// Simulated instant the frame was decoded/routed (decode, route, and a
-    /// direct encode all happen in the same event; a WAN-impaired wire
-    /// encodes later, after the modelled delay).
-    SimTime at{};
-    /// Host nanoseconds the forward took (decode view -> encoded bytes
-    /// handed to the transport, or the impairment hand-off).
-    std::uint32_t forward_ns = 0;
-    EventKind kind = EventKind::kRouted;
-  };
-
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-
-  /// Resizes and clears. Capacity 0 disables recording entirely.
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  /// Events ever recorded (including overwritten ones).
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  void record(const Event& event) {
-    if (ring_.empty()) return;
-    ring_[next_] = event;
-    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
-    ++total_;
-  }
-
-  /// Retained events, oldest first.
-  [[nodiscard]] std::vector<Event> dump() const;
-  /// Retained events touching `port` (as source or destination), oldest
-  /// first — the per-port view used to debug misrouted frames.
-  [[nodiscard]] std::vector<Event> dump_port(std::uint32_t port) const;
-
-  static constexpr std::size_t kDefaultCapacity = 512;
-
- private:
-  std::vector<Event> ring_;
-  std::size_t next_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-[[nodiscard]] std::string_view to_string(FlightRecorder::EventKind kind);
 
 class MetricsRegistry {
  public:

@@ -3,8 +3,11 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <regex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/testbed.h"
 #include "util/logging.h"
@@ -15,7 +18,6 @@ namespace {
 
 using packet::Ipv4Address;
 using packet::Ipv4Prefix;
-using util::FlightRecorder;
 using util::Histogram;
 using util::MetricsRegistry;
 
@@ -99,58 +101,6 @@ TEST(MetricsHistogram, PercentilesAreOrderedUpperEstimates) {
   // min/max clamp the estimates to observed extremes.
   EXPECT_EQ(h.min(), 100u);
   EXPECT_EQ(h.max(), 100000u);
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-FlightRecorder::Event event_with_src(std::uint32_t src) {
-  FlightRecorder::Event e;
-  e.src_port = src;
-  e.dst_port = src + 100;
-  e.size = 64;
-  return e;
-}
-
-TEST(MetricsFlightRecorder, WraparoundKeepsNewestOldestFirst) {
-  FlightRecorder flight(4);
-  for (std::uint32_t i = 0; i < 6; ++i) flight.record(event_with_src(i));
-  EXPECT_EQ(flight.total(), 6u);
-  auto events = flight.dump();
-  ASSERT_EQ(events.size(), 4u);
-  // Events 0 and 1 were overwritten; 2..5 remain, oldest first.
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].src_port, i + 2);
-  }
-}
-
-TEST(MetricsFlightRecorder, DumpBeforeWraparoundReturnsOnlyRecorded) {
-  FlightRecorder flight(8);
-  flight.record(event_with_src(7));
-  flight.record(event_with_src(9));
-  auto events = flight.dump();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].src_port, 7u);
-  EXPECT_EQ(events[1].src_port, 9u);
-}
-
-TEST(MetricsFlightRecorder, DumpPortMatchesSourceOrDestination) {
-  FlightRecorder flight(8);
-  flight.record(event_with_src(1));    // ports 1 -> 101
-  flight.record(event_with_src(2));    // ports 2 -> 102
-  flight.record(event_with_src(1));    // ports 1 -> 101
-  EXPECT_EQ(flight.dump_port(1).size(), 2u);
-  EXPECT_EQ(flight.dump_port(101).size(), 2u);
-  EXPECT_EQ(flight.dump_port(2).size(), 1u);
-  EXPECT_EQ(flight.dump_port(77).size(), 0u);
-}
-
-TEST(MetricsFlightRecorder, ZeroCapacityDisablesRecording) {
-  FlightRecorder flight(0);
-  flight.record(event_with_src(1));
-  EXPECT_EQ(flight.total(), 0u);
-  EXPECT_TRUE(flight.dump().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -447,26 +397,35 @@ TEST_F(MetricsEndToEnd, MetricsDumpApiIsWellFormed) {
             std::string::npos);
 }
 
-TEST_F(MetricsEndToEnd, FlightApiReportsRoutedFramesPerPort) {
+TEST_F(MetricsEndToEnd, TraceApiPairsEachLookupWithItsPeerEnqueue) {
+  // Per-port forwarding history comes from the tracer at head period 1:
+  // every frame sent from P leaves a matrix_lookup span with arg P and, in
+  // the same trace, an egress_enqueue span toward P's peer.
+  util::Json on = util::Json::object();
+  on.set("head_sample_period", 1);
+  ASSERT_TRUE(api("trace.enable", std::move(on))["ok"].as_bool());
   connect_and_ping(10);
-  util::Json all = api("metrics.flight");
-  ASSERT_TRUE(all["ok"].as_bool());
-  ASSERT_GT(all["result"]["events"].size(), 0u);
-  EXPECT_GT(all["result"]["total"].as_int(), 0);
-  const util::Json& first = all["result"]["events"].at(0);
-  EXPECT_EQ(first["kind"].as_string(), "routed");
-  EXPECT_GT(first["size"].as_int(), 0);
+  const wire::PortId p1 = bed.port_id("west/h1", "eth0");
+  const wire::PortId p2 = bed.port_id("east/h2", "eth0");
 
-  wire::PortId p1 = bed.port_id("west/h1", "eth0");
-  util::Json params = util::Json::object();
-  params.set("port_id", p1);
-  util::Json filtered = api("metrics.flight", std::move(params));
-  ASSERT_TRUE(filtered["ok"].as_bool());
-  ASSERT_GT(filtered["result"]["events"].size(), 0u);
-  for (std::size_t i = 0; i < filtered["result"]["events"].size(); ++i) {
-    const util::Json& event = filtered["result"]["events"].at(i);
-    EXPECT_TRUE(event["src_port"].as_int() == static_cast<std::int64_t>(p1) ||
-                event["dst_port"].as_int() == static_cast<std::int64_t>(p1));
+  util::Json dump = api("trace.dump");
+  ASSERT_TRUE(dump["ok"].as_bool());
+  std::map<std::string, std::int64_t> enqueued_to;  // trace id -> arg
+  std::vector<std::string> lookups_from_p1;
+  for (const auto& e : dump["result"]["events"].as_array()) {
+    const std::string& stage = e["stage"].as_string();
+    if (stage == "egress_enqueue") {
+      enqueued_to[e["trace_id"].as_string()] = e["arg"].as_int();
+    } else if (stage == "matrix_lookup" &&
+               e["arg"].as_int() == static_cast<std::int64_t>(p1)) {
+      lookups_from_p1.push_back(e["trace_id"].as_string());
+    }
+  }
+  // Ten echo requests plus the ARP exchange crossed from P.
+  EXPECT_GE(lookups_from_p1.size(), 10u);
+  for (const std::string& id : lookups_from_p1) {
+    ASSERT_EQ(enqueued_to.count(id), 1u) << id;
+    EXPECT_EQ(enqueued_to[id], static_cast<std::int64_t>(p2)) << id;
   }
 }
 
@@ -501,8 +460,8 @@ TEST_F(MetricsEndToEnd, StatsApiExposesFullDataPlaneLedger) {
             static_cast<std::int64_t>(stats.dataplane.payload_allocs));
   EXPECT_EQ(result["dataplane"]["slow_path_frames"].as_int(),
             static_cast<std::int64_t>(stats.dataplane.slow_path_frames));
-  EXPECT_EQ(result["dataplane"]["copies_avoided"].as_int(),
-            static_cast<std::int64_t>(stats.dataplane.copies_avoided));
+  EXPECT_EQ(result["dataplane"]["bytes_copied"].as_int(),
+            static_cast<std::int64_t>(stats.dataplane.bytes_copied));
 }
 
 TEST_F(MetricsEndToEnd, RegistryAgreesWithStatsAcrossCaptureToggles) {

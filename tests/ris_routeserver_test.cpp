@@ -39,6 +39,18 @@ std::uint64_t phase_p99(
   return util::Histogram::bucket_ceil(before.size() - 1);
 }
 
+/// Lifecycle instants (drop reasons, evictions, epoch bumps) named `detail`
+/// in the tracer's merged, timestamp-ordered dump.
+std::vector<util::Json> instants_named(util::Tracer& tracer,
+                                       const std::string& detail) {
+  std::vector<util::Json> out;
+  util::Json dump = tracer.to_json();
+  for (const auto& e : dump["events"].as_array()) {
+    if (e["detail"].as_string() == detail) out.push_back(e);
+  }
+  return out;
+}
+
 /// Two geographically separate sites, one host each, joined to one route
 /// server — the minimal Fig 1 architecture.
 class RnlStack : public ::testing::Test {
@@ -59,9 +71,11 @@ class RnlStack : public ::testing::Test {
     site2.attach_console(r2);
   }
 
-  void join(ris::RouterInterface& site, wire::NetemProfile wan = {}) {
+  void join(ris::RouterInterface& site, wire::NetemProfile wan = {},
+            util::MetricsRegistry* link = nullptr) {
     transport::SimStreamOptions options;
     options.wan = wan;
+    options.metrics = link;
     auto [ris_end, server_end] =
         transport::make_sim_stream_pair(net.scheduler(), options);
     server.accept(std::move(server_end));
@@ -99,11 +113,14 @@ class RnlStack : public ::testing::Test {
   /// Joins `raw` under `name` with one single-port router. `fault`, when
   /// given, is armed on the tunnel (end a is the client side, so
   /// `fault.stall(/*toward_a=*/true, false)` freezes the server's egress
-  /// toward this client).
+  /// toward this client). `link`, when given, receives the tunnel's
+  /// transport counters ("transport.sends" counts send() calls).
   void raw_join(RawClient& raw, const std::string& name,
-                transport::SimLinkFault* fault = nullptr) {
+                transport::SimLinkFault* fault = nullptr,
+                util::MetricsRegistry* link = nullptr) {
     transport::SimStreamOptions options;
     options.fault = fault;
+    options.metrics = link;
     auto [client, server_end] =
         transport::make_sim_stream_pair(net.scheduler(), options);
     server.accept(std::move(server_end));
@@ -165,6 +182,10 @@ class RnlStack : public ::testing::Test {
   }
 
   simnet::Network net{31};
+  /// Transport counters for the one tunnel a test passes as `link` to
+  /// join/raw_join. Declared before the server and sites so it outlives
+  /// every stream end that writes to it.
+  util::MetricsRegistry link_metrics;
   routeserver::RouteServer server;
   ris::RouterInterface site1;
   ris::RouterInterface site2;
@@ -233,9 +254,6 @@ TEST_F(RnlStack, SteadyStateFastPathAllocatesNothing) {
   EXPECT_EQ(site1.stats().payload_allocs + site2.stats().payload_allocs -
                 ris_allocs_before,
             0u);
-  // The avoided-work ledger moves in step with the fast path.
-  EXPECT_EQ(dp.allocs_avoided, dp.fast_path_frames * 3);
-  EXPECT_EQ(dp.copies_avoided, dp.fast_path_frames * 2);
 }
 
 TEST_F(RnlStack, CaptureAndCompressionForceSlowPath) {
@@ -731,7 +749,11 @@ TEST_F(RnlStack, StalledConsumerIsShedBoundedEvictedAndRejoinsCleanly) {
   // healthy site1<->site2 pair keeps carrying traffic. The server must (a)
   // bound the memory parked for site3 under the hard cap, (b) never shed
   // control, (c) keep forward latency for the healthy pair unchanged, and
-  // (d) evict site3 at the stall deadline so it can rejoin cleanly.
+  // (d) evict site3 at the stall deadline so it can rejoin cleanly. The
+  // server's tracer keeps the story as lifecycle instants.
+  util::Tracer tracer;
+  tracer.set_enabled(true);
+  server.set_tracer(&tracer);
   devices::Host h3(net, "h3");
   h3.configure(prefix("10.0.0.3/24"), ip("10.0.0.254"));
   ris::RouterInterface site3(net, "ap-south");
@@ -836,15 +858,13 @@ TEST_F(RnlStack, StalledConsumerIsShedBoundedEvictedAndRejoinsCleanly) {
   EXPECT_LE(stall_p99,
             std::max<std::uint64_t>(baseline_p99 * 8, 20'000));
 
-  // The flight recorder kept the story: shed frames, then the eviction.
-  bool saw_shed = false;
-  bool saw_evicted = false;
-  for (const auto& event : server.flight_recorder().dump()) {
-    saw_shed |= event.kind == util::FlightRecorder::EventKind::kShed;
-    saw_evicted |= event.kind == util::FlightRecorder::EventKind::kEvicted;
-  }
-  EXPECT_TRUE(saw_shed);
-  EXPECT_TRUE(saw_evicted);
+  // The tracer kept the story: shed drops toward p3, then one eviction.
+  const auto sheds = instants_named(tracer, "shed_drop");
+  const auto evictions = instants_named(tracer, "eviction");
+  ASSERT_FALSE(sheds.empty());
+  ASSERT_EQ(evictions.size(), 1u);
+  EXPECT_EQ(sheds.front()["arg"].as_int(), static_cast<std::int64_t>(p3));
+  EXPECT_LT(sheds.front()["ts_ns"].as_int(), evictions[0]["ts_ns"].as_int());
 
   // (d) Clean rejoin through the epoch machinery, same identity.
   server.set_liveness_timeout(util::Duration{});
@@ -1250,6 +1270,129 @@ TEST_F(RnlStack, UplinkRebatchAfterUnbatchedRunSendsNoStaleFrame) {
   EXPECT_EQ(server.stats().decode_errors, 0u);
 }
 
+TEST_F(RnlStack, EgressCapOneSendsEveryFrameInItsOwnWrite) {
+  // A frame cap of 1 takes the same append-and-flush path as batching: a
+  // four-frame decode batch leaves the server as four writes, each flush
+  // carrying one frame, nothing coalesced — and each traced frame gets its
+  // own egress_flush span, as any batch does.
+  util::Tracer tracer;
+  tracer.set_enabled(true);
+  server.set_tracer(&tracer);
+  server.set_egress_batching(/*max_frames=*/1, /*max_bytes=*/0);
+  RawClient dst;
+  raw_join(dst, "dst", nullptr, &link_metrics);
+  ASSERT_TRUE(dst.ack.has_value());
+  RawClient src;
+  raw_join(src, "src");
+  ASSERT_TRUE(src.ack.has_value());
+  ASSERT_TRUE(server
+                  .connect_ports(src.ack->routers[0].port_ids.at(0),
+                                 dst.ack->routers[0].port_ids.at(0))
+                  .ok());
+  net.run_for(util::Duration::milliseconds(50));
+  dst.types.clear();
+
+  const auto& dp = server.stats().dataplane;
+  const std::uint64_t flushes_before = dp.egress_flushes;
+  const std::uint64_t coalesced_before = dp.frames_coalesced;
+  const util::Histogram& batches =
+      server.metrics().histogram("routeserver.egress_batch_frames");
+  const std::uint64_t batches_before = batches.count();
+  const std::uint64_t batched_frames_before = batches.sum();
+  // dst sends nothing after its JOIN: every send on its link is the
+  // server's.
+  const std::uint64_t sends_before =
+      link_metrics.counter("transport.sends").value();
+  util::ByteWriter batch;
+  for (std::uint64_t trace_id = 1; trace_id <= 4; ++trace_id) {
+    wire::encode_message_into(batch, wire::MessageType::kData,
+                              src.ack->routers[0].router_id,
+                              src.ack->routers[0].port_ids.at(0),
+                              util::Bytes(256, 0xC3), /*compressed=*/false,
+                              /*epoch=*/0, trace_id);
+  }
+  src.transport->send(batch.view());
+  net.run_for(util::Duration::milliseconds(100));
+
+  ASSERT_EQ(dst.types.size(), 4u);
+  EXPECT_EQ(link_metrics.counter("transport.sends").value() - sends_before,
+            4u);
+  EXPECT_EQ(dp.egress_flushes - flushes_before, 4u);
+  EXPECT_EQ(dp.frames_coalesced, coalesced_before);
+  EXPECT_EQ(batches.count() - batches_before, 4u);
+  EXPECT_EQ(batches.sum() - batched_frames_before, 4u);  // one frame each
+  std::vector<std::string> flushed;
+  const util::Json dump = tracer.to_json();
+  for (const auto& e : dump["events"].as_array()) {
+    if (e["stage"].as_string() != "egress_flush") continue;
+    EXPECT_EQ(e["arg"].as_int(), 1);  // frames in the flush
+    flushed.push_back(e["trace_id"].as_string());
+  }
+  EXPECT_EQ(flushed,
+            (std::vector<std::string>{"0x1", "0x2", "0x3", "0x4"}));
+}
+
+TEST_F(RnlStack, UplinkCapOneSendsEveryCapturedFrameInItsOwnWrite) {
+  // The RIS side of the same contract: at a frame cap of 1 each captured
+  // frame is one uplink flush and one transport write. Both ends run at
+  // cap 1 and keepalives are out of the window, so site1's link carries
+  // exactly its captured frames up and the replies down.
+  site1.set_keepalive_interval(util::Duration::seconds(3600));
+  site2.set_keepalive_interval(util::Duration::seconds(3600));
+  join(site1, {}, &link_metrics);
+  join(site2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  server.set_egress_batching(/*max_frames=*/1, /*max_bytes=*/0);
+  site1.set_uplink_batching(/*max_frames=*/1, /*max_bytes=*/0);
+  const ris::RisStats before = site1.stats();
+  const std::uint64_t sends_before =
+      link_metrics.counter("transport.sends").value();
+  h1.ping(ip("10.0.0.2"), 5);
+  net.run_for(util::Duration::seconds(2));
+  ASSERT_EQ(h1.ping_replies().size(), 5u);
+
+  const ris::RisStats& after = site1.stats();
+  const std::uint64_t up = after.frames_up - before.frames_up;
+  const std::uint64_t down = after.frames_down - before.frames_down;
+  EXPECT_GE(up, 5u);
+  EXPECT_EQ(after.egress_flushes - before.egress_flushes, up);
+  EXPECT_EQ(after.frames_coalesced, before.frames_coalesced);
+  EXPECT_EQ(link_metrics.counter("transport.sends").value() - sends_before,
+            up + down);
+}
+
+TEST_F(RnlStack, UplinkCapOneArmsNoFlushTask) {
+  // Batching arms one zero-delay flush task per lone captured frame; at a
+  // frame cap of 1 the frame flushes on append, so the same traffic runs
+  // exactly that many fewer scheduler events.
+  site1.set_keepalive_interval(util::Duration::seconds(3600));
+  site2.set_keepalive_interval(util::Duration::seconds(3600));
+  join(site1);
+  join(site2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  h1.ping(ip("10.0.0.2"), 3);  // warm up: ARP resolved before measuring
+  net.run_for(util::Duration::seconds(2));
+  ASSERT_EQ(h1.ping_replies().size(), 3u);
+
+  const std::uint64_t batched_up = site1.stats().frames_up;
+  h1.ping(ip("10.0.0.2"), 5);
+  const std::size_t batched_events = net.run_for(util::Duration::seconds(2));
+  const std::uint64_t frames = site1.stats().frames_up - batched_up;
+  ASSERT_EQ(h1.ping_replies().size(), 8u);
+
+  site1.set_uplink_batching(/*max_frames=*/1, /*max_bytes=*/0);
+  const std::uint64_t capped_up = site1.stats().frames_up;
+  h1.ping(ip("10.0.0.2"), 5);
+  const std::size_t capped_events = net.run_for(util::Duration::seconds(2));
+  ASSERT_EQ(h1.ping_replies().size(), 13u);
+  ASSERT_EQ(site1.stats().frames_up - capped_up, frames);
+  EXPECT_EQ(batched_events - capped_events, frames);
+}
+
 TEST_F(RnlStack, ShedDataFramesPreserveCompressionLockstep) {
   // Shed frames must be dropped BEFORE the compressor notes them: if the
   // template ring advanced for a frame the site never receives, every later
@@ -1455,16 +1598,6 @@ TEST(RisSlices, LogicalRoutersShareOneDevice) {
 // ---------------------------------------------------------------------------
 
 /// All events of `tracer` whose lifecycle detail matches `detail`.
-std::vector<util::Json> instants_named(util::Tracer& tracer,
-                                       const std::string& detail) {
-  std::vector<util::Json> out;
-  util::Json dump = tracer.to_json();
-  for (const auto& e : dump["events"].as_array()) {
-    if (e["detail"].as_string() == detail) out.push_back(e);
-  }
-  return out;
-}
-
 TEST_F(RnlStack, TracedForwardSharesOneIdAcrossComponents) {
   util::Tracer tracer;
   tracer.set_enabled(true);
@@ -1576,6 +1709,29 @@ TEST_F(RnlStack, SpoofedPortDropEmitsDropReasonInstant) {
   ASSERT_EQ(drops.size(), 1u);
   EXPECT_EQ(drops[0]["trace_id"].as_string(), "0xbad");
   EXPECT_EQ(drops[0]["arg"].as_int(), static_cast<std::int64_t>(p1));
+}
+
+TEST_F(RnlStack, UnroutedDropEmitsInstantCarryingItsSourcePort) {
+  // A frame from an unwired port dies at the matrix lookup. Sampled or not,
+  // the drop reaches the tracer as an unrouted_drop instant whose arg is
+  // the port the frame came from.
+  util::Tracer tracer;
+  tracer.set_enabled(true);
+  server.set_tracer(&tracer);
+  RawClient raw;
+  raw_join(raw, "crafty");
+  ASSERT_TRUE(raw.ack.has_value());
+  util::ByteWriter w;
+  encode_raw_data(raw, w, util::Bytes(64, 0x3C));
+  raw.transport->send(w.view());
+  net.run_for(util::Duration::milliseconds(100));
+
+  EXPECT_EQ(server.stats().unrouted_drops, 1u);
+  auto drops = instants_named(tracer, "unrouted_drop");
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0]["arg"].as_int(),
+            static_cast<std::int64_t>(raw.ack->routers[0].port_ids.at(0)));
+  EXPECT_EQ(drops[0]["trace_id"].as_string(), "0x0");  // not head-sampled
 }
 
 TEST_F(RnlStack, RetentionSweepForgetsAbandonedSitesAndBoundsMemory) {
