@@ -59,7 +59,8 @@
 #              overload waves, abandons, and a server kill/restart — then
 #              assert the report's invariants (bounded port tables, zero
 #              retained ports, journal recovery with torn-tail truncation,
-#              deploys kept landing) from the emitted BENCH_fleet.json.
+#              deploys kept landing, a reason for every failed deploy) from
+#              the emitted BENCH_fleet.json, and print each failed deploy.
 #   --trace    tracing smoke: run examples/trace_smoke (a 2-site forwarding
 #              burst over TCP loopback at 1-in-1 head sampling, which
 #              asserts >= 1 complete cross-process trace and the sub-span
@@ -170,7 +171,7 @@ fi
 if [[ "$fuzz" == 1 ]]; then
   echo "=== fuzz: corpus replay (RNL_FUZZ=ON, sanitized when available) ==="
   run_config build-fuzz -DCMAKE_BUILD_TYPE=Debug -DRNL_FUZZ=ON -DRNL_SANITIZE=address
-  for harness in message_decoder tunnel_roundtrip decompressor json api journal; do
+  for harness in message_decoder tunnel_roundtrip decompressor json api journal dispatch; do
     echo "--- replay: $harness (16 chunking variants) ---"
     "./build-fuzz/fuzz/replay_${harness}" --variants 16 "tests/corpus/${harness}"
     if [[ -x "./build-fuzz/fuzz/fuzz_${harness}" ]]; then
@@ -267,6 +268,11 @@ assert store["records_replayed"] > 0, "recovery replayed nothing"
 deploys = report["deploys"]
 assert deploys["ok"] > 0, "no deploy succeeded under chaos"
 assert "p99_us" in deploys, "deploy latency missing from report"
+assert len(deploys["failures"]) == deploys["failed"], \
+    "a failed deploy carries no reason"
+for failure in deploys["failures"]:
+    print(f"deploy failed: cycle {failure['cycle']}, {failure['step']}: "
+          f"{failure['error']}")
 faults = report["faults"]
 total = sum(faults.values())
 print(f"soak OK: {report['sites']} sites, {total} faults applied, "

@@ -13,6 +13,8 @@ Input conventions (see fuzz/fuzz_*.cpp):
   decompressor:     [8B seed][1B prime count][encoded bytes / frame material]
   json:             UTF-8 text
   api:              newline-separated JSON request bodies
+  dispatch:         [8B chunking seed][client byte stream]; the seed's low
+                    nibble e caps chunks at 2^e bytes (15: one chunk)
 """
 
 import os
@@ -205,3 +207,32 @@ write("api", "trace_surface.txt",
       '{"method":"trace.slow"}\n'
       '{"method":"trace.perfetto"}\n'
       '{"method":"trace.enable","params":{"on":false}}\n')
+
+# -- dispatch: one client stream through the sharded front door and a plain
+# server; the seeds cover placement, reaping and the JOIN the shard reuses --
+def join_json(site, routers):
+    return ('{"site":"%s","routers":[%s]}' % (site, ",".join(
+        '{"name":"%s","description":"","image":"","console":"",'
+        '"ports":[{"name":"p0","description":"","nic":"","rect":[0,0,10,10]}]}'
+        % name for name in routers))).encode()
+
+
+SMALL_CHUNKS = struct.pack("<Q", 0x1503)  # chunks of at most 8 bytes
+ONE_CHUNK = struct.pack("<Q", 0x150F)      # the whole stream in one chunk
+write("dispatch", "valid_join.bin", SMALL_CHUNKS + frame(1, payload=JOIN_JSON))
+write("dispatch", "join_plus_data_one_chunk.bin",
+      ONE_CHUNK + frame(1, payload=JOIN_JSON)
+      + frame(3, 1, 1, b"\xde\xad\xbe\xef" * 16) + frame(5))
+write("dispatch", "keepalive_then_join.bin",
+      SMALL_CHUNKS + frame(5) + frame(1, payload=JOIN_JSON))
+write("dispatch", "join_malformed_json.bin",
+      SEED + frame(1, payload=b'{"site":"hq","routers":[{"name":'))
+write("dispatch", "join_257_routers.bin",
+      SEED + frame(1, payload=join_json("big", ["r%d" % i for i in range(257)])))
+write("dispatch", "garbage_then_join.bin",
+      SEED + b"\xee" * 1024 + frame(1, payload=JOIN_JSON))
+# The second JOIN lacks a site name: the plain server answers it with a
+# kError, so a shard that wrongly reused the sniffed JOIN for it would not.
+write("dispatch", "second_join_same_session.bin",
+      SMALL_CHUNKS + frame(1, payload=JOIN_JSON)
+      + frame(1, payload=b'{"routers":[]}') + frame(1, payload=JOIN_JSON))

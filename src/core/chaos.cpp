@@ -445,10 +445,23 @@ class FleetSoak {
     }
   }
 
+  /// Counts a failed deploy cycle and keeps why: the cycle, the API method
+  /// that failed and the error it returned.
+  void deploy_failed(std::uint32_t k, const std::string& step,
+                     const util::Json& response) {
+    ++deploys_failed_;
+    util::Json failure = util::Json::object();
+    failure.set("cycle", k);
+    failure.set("step", step);
+    failure.set("error", response["error"].as_string());
+    deploy_failures_.push_back(std::move(failure));
+  }
+
   /// One service-plane cycle through the web API: build a two-router
   /// design across two shard-0 sites, reserve a short window, deploy
   /// (wall-clock timed — this is the latency the report quotes), tear
-  /// down. Failures are counted, never fatal: chaos makes some inevitable.
+  /// down. Failures are counted with their reason, never fatal: chaos
+  /// makes some inevitable.
   void deploy_cycle(std::uint32_t k) {
     if (!server_up_) {
       ++deploys_skipped_;
@@ -486,7 +499,7 @@ class FleetSoak {
     params.set("name", "chaos-" + std::to_string(k));
     util::Json created = call("design.create", std::move(params));
     if (!created["ok"].as_bool()) {
-      ++deploys_failed_;
+      deploy_failed(k, "design.create", created);
       return;
     }
     const std::int64_t design_id = created["result"]["design_id"].as_int();
@@ -503,11 +516,16 @@ class FleetSoak {
     util::Json connect = design_param();
     connect.set("a", router_a->ports[0].id);
     connect.set("b", router_b->ports[0].id);
-    if (!call("design.add_router", std::move(add_a))["ok"].as_bool() ||
-        !call("design.add_router", std::move(add_b))["ok"].as_bool() ||
-        !call("design.connect", std::move(connect))["ok"].as_bool()) {
-      ++deploys_failed_;
-      return;
+    std::pair<std::string, util::Json> design_steps[] = {
+        {"design.add_router", std::move(add_a)},
+        {"design.add_router", std::move(add_b)},
+        {"design.connect", std::move(connect)}};
+    for (auto& [method, step_params] : design_steps) {
+      util::Json reply = call(method, std::move(step_params));
+      if (!reply["ok"].as_bool()) {
+        deploy_failed(k, method, reply);
+        return;
+      }
     }
     if (k % 4 == 0) {
       (void)call("design.save", design_param());  // kv stream traffic
@@ -519,8 +537,9 @@ class FleetSoak {
     util::Json reserve = design_param();
     reserve.set("start_s", now_s);
     reserve.set("end_s", now_s + 3);
-    if (!call("reserve", std::move(reserve))["ok"].as_bool()) {
-      ++deploys_failed_;
+    util::Json reserved = call("reserve", std::move(reserve));
+    if (!reserved["ok"].as_bool()) {
+      deploy_failed(k, "reserve", reserved);
       return;
     }
 
@@ -528,7 +547,7 @@ class FleetSoak {
     util::Json deployed = call("deploy", design_param());
     deploy_hist_.record(util::monotonic_ns() - t0);
     if (!deployed["ok"].as_bool()) {
-      ++deploys_failed_;
+      deploy_failed(k, "deploy", deployed);
       return;
     }
     ++deploys_ok_;
@@ -658,6 +677,7 @@ class FleetSoak {
     deploys.set("ok", deploys_ok_);
     deploys.set("failed", deploys_failed_);
     deploys.set("skipped", deploys_skipped_);
+    deploys.set("failures", deploy_failures_);
     deploys.set("p50_us",
                 static_cast<double>(deploy_hist_.percentile(50)) / 1e3);
     deploys.set("p99_us",
@@ -720,6 +740,8 @@ class FleetSoak {
   util::Histogram deploy_hist_;
   std::uint64_t deploys_ok_ = 0;
   std::uint64_t deploys_failed_ = 0;
+  /// One {cycle, step, error} object per failed deploy cycle.
+  util::Json deploy_failures_ = util::Json::array();
   std::uint64_t deploys_skipped_ = 0;
   std::uint64_t cuts_applied_ = 0;
   std::uint64_t stalls_applied_ = 0;

@@ -81,6 +81,7 @@ std::size_t RouterInterface::add_router(devices::Device* device,
   router.declaration.description = std::move(description);
   router.declaration.image_file = std::move(image_file);
   routers_.push_back(std::move(router));
+  join_wire_.clear();
   return routers_.size() - 1;
 }
 
@@ -113,6 +114,7 @@ void RouterInterface::map_port(std::size_t router_index,
       });
   router.ports.push_back(std::move(mapped));
   router.declaration.ports.push_back(router.ports.back().declaration);
+  join_wire_.clear();
 }
 
 void RouterInterface::attach_console(std::size_t router_index,
@@ -120,6 +122,7 @@ void RouterInterface::attach_console(std::size_t router_index,
   Router& router = routers_.at(router_index);
   router.console = true;
   router.declaration.console_com = std::move(com_port);
+  join_wire_.clear();
 }
 
 util::Status RouterInterface::declare_slices(
@@ -160,6 +163,7 @@ util::Status RouterInterface::declare_slices(
     }
     routers_.push_back(std::move(slice_router));
   }
+  join_wire_.clear();
   return util::Status::Ok();
 }
 
@@ -217,16 +221,22 @@ void RouterInterface::start_session(
   transport_->set_close_handler([this] { on_tunnel_lost(); });
   transport_->set_egress_watermarks(egress_high_, egress_low_);
 
-  wire::JoinRequest request;
-  request.site_name = site_name_;
-  for (const auto& router : routers_) {
-    request.routers.push_back(router.declaration);
+  // The JOIN depends only on the declarations, so it is encoded once and
+  // resent as is on every reconnect until a declaration changes.
+  if (join_wire_.empty()) {
+    wire::JoinRequest request;
+    request.site_name = site_name_;
+    for (const auto& router : routers_) {
+      request.routers.push_back(router.declaration);
+    }
+    wire::TunnelMessage join_msg;
+    join_msg.type = wire::MessageType::kJoin;
+    std::string json = request.to_json().dump();
+    join_msg.payload.assign(json.begin(), json.end());
+    join_wire_ = wire::encode_message(join_msg);
   }
-  wire::TunnelMessage join_msg;
-  join_msg.type = wire::MessageType::kJoin;
-  std::string json = request.to_json().dump();
-  join_msg.payload.assign(json.begin(), json.end());
-  send_message(join_msg, /*compressible=*/false);
+  // No uplink batch is open (reset above), so nothing needs flushing first.
+  if (transport_->is_open()) transport_->send(join_wire_);
 
   // Heartbeat loop so the server can tell a silent site from a dead one.
   // The loop function is owned by the member; scheduled copies hold only a

@@ -269,6 +269,11 @@ class RouterInterface {
   util::Rng jitter_rng_;
   std::string server_address_ = "netlabs.accenture.com";
   std::vector<Router> routers_;
+  /// The framed JOIN built from routers_' declarations by the first session
+  /// that needs it and resent by every reconnect. add_router, map_port,
+  /// attach_console and declare_slices clear it, so the next session
+  /// declares the changed inventory.
+  util::Bytes join_wire_;
   std::unique_ptr<transport::Transport> transport_;
   wire::MessageDecoder decoder_;
   wire::TemplateCompressor compressor_;

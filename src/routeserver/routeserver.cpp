@@ -115,15 +115,21 @@ void RouteServer::accept(std::unique_ptr<transport::Transport> transport) {
       [this, raw] { remove_site(raw, /*orderly=*/false); });
   site->transport->set_egress_watermarks(egress_high_, egress_low_);
   site->transport->set_drain_handler([this, raw] { on_site_drained(raw); });
+  site->index = sites_.size();
   sites_.push_back(std::move(site));
 }
 
 void RouteServer::accept(std::unique_ptr<transport::Transport> transport,
-                         util::BytesView initial) {
+                         util::BytesView initial, wire::JoinRequest join) {
   accept(std::move(transport));
+  Site* site = sites_.back().get();
+  // The replay below decodes the very frame the sniff parsed as the site's
+  // first kJoin: the frames before it are not kJoin, and the bytes are
+  // replayed unchanged.
+  site->sniffed_join = std::move(join);
   // Replay what the dispatch layer buffered while sniffing the JOIN. The
   // site may die inside (decode error teardown) — on_site_data handles it.
-  if (!initial.empty()) on_site_data(sites_.back().get(), initial);
+  if (!initial.empty()) on_site_data(site, initial);
 }
 
 void RouteServer::bind_owner_thread() {
@@ -529,13 +535,23 @@ void RouteServer::send_control(Site* site, wire::MessageType type,
 
 void RouteServer::handle_join(Site* site,
                               const wire::MessageDecoder::DecodedView& msg) {
-  std::string json(msg.payload.begin(), msg.payload.end());
-  auto parsed = util::Json::parse(json);
-  if (!parsed.ok()) {
-    ++stats_.decode_errors;
-    return;
+  // A dispatched connection's first kJoin was parsed by the dispatch sniff,
+  // and only a JOIN that parsed gets dispatched; every other JOIN is
+  // parsed here.
+  util::Result<wire::JoinRequest> request = util::Error{};
+  if (site->sniffed_join.has_value()) {
+    request = std::move(*site->sniffed_join);
+    site->sniffed_join.reset();
+  } else {
+    auto parsed = util::Json::parse(
+        std::string_view(reinterpret_cast<const char*>(msg.payload.data()),
+                         msg.payload.size()));
+    if (!parsed.ok()) {
+      ++stats_.decode_errors;
+      return;
+    }
+    request = wire::JoinRequest::from_json(*parsed);
   }
-  auto request = wire::JoinRequest::from_json(*parsed);
   if (!request.ok()) {
     ++stats_.decode_errors;
     RNL_LOG(kWarn, kLog) << "rejecting malformed JOIN: " << request.error();
@@ -559,19 +575,16 @@ void RouteServer::handle_join(Site* site,
   // A JOIN under the name of a session the server still believes is live
   // supersedes it: the RIS process restarted faster than the liveness sweep
   // could notice. Kill the zombie first — its close handler runs the
-  // un-orderly teardown, which parks its inventory for the rebind below.
-  for (auto& other : sites_) {
-    if (other.get() != site && !other->dead && other->joined &&
-        other->name == request->site_name) {
-      RNL_LOG(kWarn, kLog) << "site '" << site->name
-                           << "' rejoined over a live session; superseding "
-                              "the old incarnation";
-      other->transport->close();
-      break;
-    }
+  // un-orderly teardown, which parks its inventory for the rebind below
+  // and clears registry.live.
+  RetainedSite& registry = site_registry_[request->site_name];
+  if (registry.live != nullptr) {
+    RNL_LOG(kWarn, kLog) << "site '" << site->name
+                         << "' rejoined over a live session; superseding "
+                            "the old incarnation";
+    registry.live->transport->close();
   }
 
-  RetainedSite& registry = site_registry_[request->site_name];
   site->epoch = registry.next_epoch++;
   // next_epoch is monotonic per site name and never reset — that is the
   // whole basis of the stale-frame gate. A wrap would take 2^32 rejoins.
@@ -629,6 +642,7 @@ void RouteServer::handle_join(Site* site,
     }
   }
   site->joined = true;
+  registry.live = site;
   ++stats_.sites_joined;
   // Per-site egress depth, visible in metrics.dump / the web UI while the
   // session lives. remove_site() drops the probe before the Site is freed.
@@ -925,6 +939,7 @@ void RouteServer::remove_site(Site* site, bool orderly) {
   RNL_DCHECK(on_owner_thread());
   if (site->dead) return;
   site->dead = true;
+  dead_sites_.push_back(site);
   if (site->joined && !site->name.empty()) {
     // The per-site probe reads this Site object; drop it before the site
     // can be freed. (A rejoin re-registers under the same name.)
@@ -947,11 +962,13 @@ void RouteServer::remove_site(Site* site, bool orderly) {
   // survives: an orderly kLeave tears the wires down with the site, while an
   // un-orderly loss (eviction, transport error) keeps the wires and parks
   // the inventory for a rejoin under the same identity. The Site object
-  // itself is freed at the next safe point.
-  RetainedSite* registry =
-      !orderly && site->joined && !site->name.empty()
-          ? &site_registry_[site->name]
-          : nullptr;
+  // itself is freed at the next safe point, so no name may still point at
+  // it by then.
+  RetainedSite* entry = site->joined && !site->name.empty()
+                            ? &site_registry_[site->name]
+                            : nullptr;
+  if (entry != nullptr && entry->live == site) entry->live = nullptr;
+  RetainedSite* registry = orderly ? nullptr : entry;
   if (registry != nullptr) {
     registry->routers.clear();
     registry->parked_at = scheduler_.now();  // retention deadline base
@@ -992,14 +1009,18 @@ void RouteServer::remove_site(Site* site, bool orderly) {
 }
 
 void RouteServer::purge_dead_sites() {
-  std::erase_if(sites_, [](const std::unique_ptr<Site>& s) {
-    if (!s->dead) return false;
-    if (s->transport) {
-      s->transport->set_receive_handler(nullptr);
-      s->transport->set_close_handler(nullptr);
+  for (Site* dead : dead_sites_) {
+    if (dead->transport) {
+      dead->transport->set_receive_handler(nullptr);
+      dead->transport->set_close_handler(nullptr);
     }
-    return true;
-  });
+    // Swap-remove: nothing depends on the order of sites_.
+    const std::size_t index = dead->index;
+    std::swap(sites_[index], sites_.back());
+    sites_[index]->index = index;
+    sites_.pop_back();  // frees `dead`
+  }
+  dead_sites_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -168,8 +168,10 @@ class RouteServer {
   /// accept() plus an immediate replay of bytes that arrived before the
   /// hand-off — the sharded dispatch layer sniffs the JOIN on the front
   /// door and forwards whatever it buffered along with the transport.
+  /// `join` is the sniff's parse of the first kJoin in `initial`: the
+  /// replay hands it to handle_join instead of parsing that frame again.
   void accept(std::unique_ptr<transport::Transport> transport,
-              util::BytesView initial);
+              util::BytesView initial, wire::JoinRequest join);
 
   // -- Sharding hooks (ShardedRouteServer; DESIGN.md §12) --
   // A plain RouteServer is one shard's whole world. The hooks below let N
@@ -394,10 +396,15 @@ class RouteServer {
     util::Bytes inflate_buffer;
     std::string name;
     std::vector<wire::RouterId> router_ids;
+    /// The dispatch layer's parse of this connection's first kJoin, which
+    /// handle_join consumes in place of parsing the replayed frame.
+    std::optional<wire::JoinRequest> sniffed_join;
+    /// Position in sites_ (purge_dead_sites swap-removes by it).
+    std::size_t index = 0;
     bool joined = false;
     /// Logically removed; physically destroyed at the next safe point (a
     /// site is often dropped from inside its own transport callback, so it
-    /// cannot be freed synchronously).
+    /// cannot be freed synchronously). remove_site queues it in dead_sites_.
     bool dead = false;
     /// Session epoch assigned at JOIN (0 for a name's first session). Every
     /// kData frame in either direction is stamped with it (mod 256); a
@@ -445,6 +452,10 @@ class RouteServer {
   /// any previous incarnation can always be told apart.
   struct RetainedSite {
     std::uint32_t next_epoch = 0;
+    /// The joined session currently holding this name (nullptr: none).
+    /// handle_join sets it and supersedes through it; remove_site clears
+    /// it before the Site can be freed.
+    Site* live = nullptr;
     std::vector<InventoryRouter> routers;  // empty unless awaiting rejoin
     /// When the inventory was parked (un-orderly loss). The retention sweep
     /// forgets parked inventory older than the retention deadline.
@@ -482,8 +493,9 @@ class RouteServer {
   /// retained state) if the declared shape no longer matches.
   bool rebind_retained(Site* site, const wire::JoinRequest& request,
                        RetainedSite& registry, wire::JoinAck& ack);
-  /// Frees sites marked dead. Only called from contexts where no site
-  /// transport callback can be on the stack (accept, destruction).
+  /// Frees the sites remove_site queued in dead_sites_. Only called from
+  /// contexts where no site transport callback can be on the stack
+  /// (accept, destruction).
   void purge_dead_sites();
   /// Retention sweep (rides the liveness loop): drops retained inventory —
   /// and tears down its surviving wires — for identities parked longer
@@ -545,7 +557,10 @@ class RouteServer {
   }
 
   simnet::Scheduler& scheduler_;
+  /// Every site not yet freed, in no particular order (swap-remove).
   std::vector<std::unique_ptr<Site>> sites_;
+  /// Sites removed since the last purge, each queued once by remove_site.
+  std::vector<Site*> dead_sites_;
   std::map<wire::RouterId, InventoryRouter> routers_;
   std::map<wire::RouterId, Site*> router_sites_;
   /// Keyed by site name; see RetainedSite.

@@ -193,7 +193,9 @@ void ShardedRouteServer::on_dispatch_data(PendingSite* pending,
       pending->failed = true;
       return;
     }
-    pending->site_name = request.value().site_name;
+    // Kept for the shard: handle_join uses it instead of parsing this
+    // frame again when the buffered bytes replay.
+    pending->join = std::move(request).take();
     pending->ready = true;
     return;
   }
@@ -204,19 +206,19 @@ void ShardedRouteServer::place(PendingSite* pending) {
   // capture dies with this placement.
   pending->transport->set_receive_handler(nullptr);
   pending->transport->set_close_handler(nullptr);
-  const std::size_t s = shard_of_site(pending->site_name);
+  const std::size_t s = shard_of_site(pending->join.site_name);
   if (running()) {
     // A live transport is bound to this (dispatch) thread's event loop;
     // handing the object itself to a shard thread would split one
     // connection across two threads, and nothing migrates it.
     RNL_LOG(kError, kLog)
         << "cannot place a site while shards are threaded; closing '"
-        << pending->site_name << "'";
+        << pending->join.site_name << "'";
     pending->transport->close();
     return;
   }
   shards_[s]->server->accept(std::move(pending->transport),
-                             pending->buffered);
+                             pending->buffered, std::move(pending->join));
 }
 
 void ShardedRouteServer::pump_dispatch() {

@@ -112,7 +112,8 @@ class ShardedRouteServer {
   void accept(std::size_t s, std::unique_ptr<transport::Transport> transport);
 
   /// Front door: buffers the connection, sniffs the JOIN to learn the site
-  /// name, and places it on hash(site_name) at the next pump_dispatch().
+  /// name, and places it on hash(site_name) at the next pump_dispatch(),
+  /// handing the shard the parsed JOIN along with the buffered bytes.
   /// The transport's callbacks keep firing on the calling (dispatch)
   /// thread until placement.
   void dispatch(std::unique_ptr<transport::Transport> transport);
@@ -194,7 +195,8 @@ class ShardedRouteServer {
     std::unique_ptr<transport::Transport> transport;
     util::Bytes buffered;
     wire::MessageDecoder sniffer;
-    std::string site_name;
+    /// The sniffed JOIN (valid once `ready`), handed to the shard.
+    wire::JoinRequest join;
     bool ready = false;
     bool failed = false;
   };

@@ -58,14 +58,13 @@ void MetricsRegistry::probe_gauge(const std::string& name,
 }
 
 void MetricsRegistry::remove_prefix(std::string_view prefix) {
+  // The names sharing a prefix are one contiguous run of the ordered map,
+  // starting at lower_bound(prefix): erase that run and touch nothing else.
   auto drop = [prefix](auto& probes) {
-    for (auto it = probes.begin(); it != probes.end();) {
-      if (std::string_view(it->first).substr(0, prefix.size()) == prefix) {
-        it = probes.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const auto first = probes.lower_bound(prefix);
+    auto last = first;
+    while (last != probes.end() && last->first.starts_with(prefix)) ++last;
+    probes.erase(first, last);
   };
   drop(counter_probes_);
   drop(gauge_probes_);

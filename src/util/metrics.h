@@ -244,6 +244,7 @@ class MetricsRegistry {
   void probe_gauge(const std::string& name, std::function<std::int64_t()> read);
   /// Drops every probe whose name starts with `prefix`. Owned instruments
   /// are untouched. Probe owners call this from their destructor.
+  /// O(log n + k) for k removed probes: a range erase of the ordered maps.
   void remove_prefix(std::string_view prefix);
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
@@ -264,12 +265,15 @@ class MetricsRegistry {
 
  private:
   // std::map: deterministic dump order, and node stability gives owned
-  // instruments their forever-valid addresses.
+  // instruments their forever-valid addresses. The probe maps compare
+  // transparently so remove_prefix can look up a string_view.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::function<std::uint64_t()>> counter_probes_;
-  std::map<std::string, std::function<std::int64_t()>> gauge_probes_;
+  std::map<std::string, std::function<std::uint64_t()>, std::less<>>
+      counter_probes_;
+  std::map<std::string, std::function<std::int64_t()>, std::less<>>
+      gauge_probes_;
 };
 
 }  // namespace rnl::util

@@ -143,6 +143,51 @@ TEST(MetricsRegistryTest, ProbesShadowOwnedValuesAndRemoveByPrefix) {
   EXPECT_TRUE(after["gauges"]["site.depth"].is_null());
 }
 
+TEST(MetricsRegistryTest, RemovePrefixDropsExactlyTheNamesUnderIt) {
+  // Neighbours on both sides of the "routeserver.site.a." run in sort
+  // order: the bare name sorts before it, "a/" ('/' follows '.') and "ab."
+  // sort after it. Owned instruments under the prefix are never removed.
+  MetricsRegistry registry;
+  const std::vector<std::string> names = {
+      "routeserver.site.a",   "routeserver.site.a.x", "routeserver.site.a.y",
+      "routeserver.site.a/z", "routeserver.site.ab.x"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto value = static_cast<std::int64_t>(i + 1);
+    registry.probe_counter(names[i], [value] {
+      return static_cast<std::uint64_t>(value);
+    });
+    registry.probe_gauge(names[i], [value] { return -value; });
+  }
+  registry.counter("routeserver.site.a.owned").inc(5);
+  registry.gauge("routeserver.site.a.level").set(6);
+  registry.histogram("routeserver.site.a.lat").record(7);
+
+  const util::Json all = registry.to_json();
+  EXPECT_EQ(all["counters"].size(), names.size() + 1);
+  // Prefixes that match nothing: one sorting before the first name, one
+  // after the last, and one landing between two names.
+  registry.remove_prefix("aaa");
+  registry.remove_prefix("zzz");
+  registry.remove_prefix("routeserver.site.a.w");
+  EXPECT_EQ(registry.to_json(), all);
+
+  registry.remove_prefix("routeserver.site.a.");
+  util::Json after = registry.to_json();
+  for (const char* kind : {"counters", "gauges"}) {
+    SCOPED_TRACE(kind);
+    EXPECT_TRUE(after[kind]["routeserver.site.a.x"].is_null());
+    EXPECT_TRUE(after[kind]["routeserver.site.a.y"].is_null());
+    for (std::size_t i : {0u, 3u, 4u}) {
+      EXPECT_EQ(after[kind][names[i]], all[kind][names[i]]) << names[i];
+    }
+  }
+  EXPECT_EQ(after["counters"].size(), 4u);  // three neighbours + owned
+  EXPECT_EQ(after["gauges"].size(), 4u);
+  EXPECT_EQ(after["counters"]["routeserver.site.a.owned"].as_int(), 5);
+  EXPECT_EQ(after["gauges"]["routeserver.site.a.level"].as_int(), 6);
+  EXPECT_EQ(after["histograms"]["routeserver.site.a.lat"]["count"].as_int(), 1);
+}
+
 TEST(MetricsRegistryTest, DistinctInstrumentsWrittenFromDistinctThreads) {
   // The concurrency contract: one writer per instrument. Two threads
   // hammering two different counters of the same registry must both land

@@ -739,6 +739,75 @@ TEST_F(RnlStack, RejoinUnderLiveNameSupersedesTheZombieSession) {
   EXPECT_EQ(h1b.ping_replies().size(), 3u);
 }
 
+TEST_F(RnlStack, RejoinAfterOrderlyLeaveAndPurgeStartsTheNextEpoch) {
+  // The name's registry entry outlives the session that left in order; by
+  // the time the name joins again, another connection's accept has freed
+  // that session. The JOIN must find no live session to supersede (ASan
+  // catches any read of the freed one).
+  join(site1);
+  join(site2);
+  site1.leave();
+  net.run_for(util::Duration::milliseconds(500));
+  ASSERT_EQ(server.stats().sites_lost, 1u);
+  ASSERT_EQ(server.site_count(), 2u);  // the departed session, not yet freed
+
+  RawClient other;
+  raw_join(other, "branch");  // its accept frees the departed session
+  ASSERT_TRUE(other.ack.has_value());
+  EXPECT_EQ(server.site_count(), 2u);
+
+  join(site1);
+  ASSERT_TRUE(site1.joined());
+  EXPECT_EQ(site1.session_epoch(), 1u);
+  EXPECT_EQ(server.stats().sites_lost, 1u);      // the leave, no supersession
+  EXPECT_EQ(server.stats().sites_rejoined, 0u);  // a leave retains no ids
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+  EXPECT_EQ(server.inventory().size(), 3u);
+}
+
+TEST_F(RnlStack, ReconnectAfterMapPortDeclaresTheNewPort) {
+  // A port mapped after the first join changes the declared inventory, so
+  // the reconnect JOIN must carry it: the retained shape no longer
+  // matches, and the server assigns fresh ids covering both ports.
+  transport::SimLinkFault fault;
+  auto dial = [&]() -> std::unique_ptr<transport::Transport> {
+    transport::SimStreamOptions options;
+    options.fault = &fault;
+    auto [ris_end, server_end] =
+        transport::make_sim_stream_pair(net.scheduler(), options);
+    server.accept(std::move(server_end));
+    return std::move(ris_end);
+  };
+  devices::Ipv4Router device(net, "edge", 2);
+  ris::RouterInterface lab(net, "lab");
+  const std::size_t r = lab.add_router(&device, "edge router", "edge.png");
+  lab.map_port(r, 0, "uplink");
+  ris::ReconnectPolicy policy;
+  policy.initial_backoff = util::Duration::milliseconds(100);
+  policy.jitter = 0;
+  lab.set_reconnect_policy(policy);
+  lab.set_transport_factory(dial);
+  lab.join(dial());
+  net.run_for(util::Duration::milliseconds(500));
+  ASSERT_TRUE(lab.joined());
+  const wire::RouterId first_id = router_of("lab/edge");
+
+  lab.map_port(r, 1, "downlink");
+  fault.cut();
+  net.run_for(util::Duration::seconds(1));
+  ASSERT_TRUE(lab.joined());
+  EXPECT_EQ(lab.session_epoch(), 1u);
+  EXPECT_EQ(lab.stats().reconnects, 1u);
+  EXPECT_EQ(lab.stats().decode_errors, 0u);  // the ack covers both ports
+  EXPECT_EQ(server.stats().sites_rejoined, 0u);
+  auto router = server.find_router(router_of("lab/edge"));
+  ASSERT_TRUE(router.has_value());
+  EXPECT_NE(router->id, first_id);
+  ASSERT_EQ(router->ports.size(), 2u);
+  EXPECT_EQ(router->ports[0].description, "uplink");
+  EXPECT_EQ(router->ports[1].description, "downlink");
+}
+
 // ---------------------------------------------------------------------------
 // Overload protection: bounded egress, priority shedding, slow-consumer
 // eviction (ROADMAP: a stalled RIS must not exhaust the shared route server)

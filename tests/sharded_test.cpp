@@ -460,6 +460,49 @@ TEST_F(ShardedStack, KillMidTrafficRejoinRestoresTheCrossShardWire) {
   EXPECT_EQ(server.stats().decode_errors, 0u);
 }
 
+TEST_F(ShardedStack, DispatchedRejoinTwoHundredTimesFreesEveryDeadSession) {
+  // Every redial goes through the front door, whose sniffed JOIN the shard
+  // reuses. Each cut kills one session; the next accept on the shard must
+  // free it, so the shard never holds more than its live sessions plus the
+  // one dead session awaiting that accept.
+  transport::SimLinkFault fault;
+  auto dial = [&]() -> std::unique_ptr<transport::Transport> {
+    transport::SimStreamOptions options;
+    options.fault = &fault;
+    auto [ris_end, server_end] =
+        transport::make_sim_stream_pair(net.scheduler(), options);
+    server.dispatch(std::move(server_end));
+    return std::move(ris_end);
+  };
+  ris::ReconnectPolicy policy;
+  policy.initial_backoff = util::Duration::milliseconds(10);
+  policy.jitter = 0;
+  site1.set_reconnect_policy(policy);
+  site1.set_transport_factory(dial);
+  site1.join(dial());
+  settle(4);
+  ASSERT_TRUE(site1.joined());
+  const wire::PortId p1 = port_of("us-west/h1");
+  routeserver::RouteServer& shard =
+      server.shard(server.shard_of_site("us-west"));
+
+  constexpr std::uint32_t kCycles = 200;
+  for (std::uint32_t cycle = 1; cycle <= kCycles; ++cycle) {
+    fault.cut();
+    settle(2);
+    ASSERT_TRUE(site1.joined()) << "cycle " << cycle;
+    ASSERT_EQ(site1.session_epoch(), cycle);
+    ASSERT_LE(shard.site_count(), 2u) << "cycle " << cycle;
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.sites_joined, kCycles + 1);
+  EXPECT_EQ(stats.sites_lost, kCycles);
+  EXPECT_EQ(stats.sites_rejoined, kCycles);
+  EXPECT_EQ(stats.decode_errors, 0u);
+  EXPECT_EQ(port_of("us-west/h1"), p1);
+  EXPECT_EQ(server.pending_dispatch(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Threaded mode (the TSan targets): shard loops, snapshots, teardown races
 // ---------------------------------------------------------------------------
