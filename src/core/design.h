@@ -38,7 +38,6 @@ class TopologyDesign {
   explicit TopologyDesign(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Drags a router from the inventory onto the design plane. A router can
   /// appear only once (there is one physical instance, Fig 2).

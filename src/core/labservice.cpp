@@ -21,19 +21,25 @@ LabService::LabService(simnet::Network& net, routeserver::RouteServer& server)
   // Equipment can leave at any time (§2.3). A deployment that lost a router
   // is dead: release its surviving wires so others can use the ports.
   server_.set_inventory_changed_handler([this] {
-    for (auto& [id, deployment] : deployments_) {
-      if (!deployment.active) continue;
+    for (auto it = deployments_.begin(); it != deployments_.end();) {
+      const Deployment& deployment = it->second;
+      bool lost = false;
       for (auto router : deployment.design.routers()) {
         if (!server_.find_router(router).has_value()) {
           RNL_LOG(kWarn, kLog)
-              << "deployment " << id << " lost router " << router
+              << "deployment " << it->first << " lost router " << router
               << " (site gone); tearing down";
-          for (const auto& link : deployment.design.links()) {
-            server_.disconnect_port(link.a);
-          }
-          deployment.active = false;
+          lost = true;
           break;
         }
+      }
+      if (lost) {
+        for (const auto& link : deployment.design.links()) {
+          server_.disconnect_port(link.a);
+        }
+        it = deployments_.erase(it);
+      } else {
+        ++it;
       }
     }
   });
@@ -61,16 +67,6 @@ std::optional<routeserver::InventoryRouter> LabService::router_by_name(
     const std::string& name) const {
   for (const auto& router : server_.inventory()) {
     if (router.name == name) return router;
-  }
-  return std::nullopt;
-}
-
-std::optional<wire::PortId> LabService::port_by_name(
-    const std::string& router_name, const std::string& port_name) const {
-  auto router = router_by_name(router_name);
-  if (!router.has_value()) return std::nullopt;
-  for (const auto& port : router->ports) {
-    if (port.name == port_name) return port.id;
   }
   return std::nullopt;
 }
@@ -170,9 +166,7 @@ util::SimTime LabService::next_free_slot(DesignId id,
 
 bool LabService::router_in_active_deployment(wire::RouterId router) const {
   for (const auto& [id, deployment] : deployments_) {
-    if (deployment.active && deployment.design.has_router(router)) {
-      return true;
-    }
+    if (deployment.design.has_router(router)) return true;
   }
   return false;
 }
@@ -256,28 +250,29 @@ util::Result<DeploymentId> LabService::deploy(DesignId id) {
 
 util::Status LabService::teardown(DeploymentId id) {
   auto it = deployments_.find(id);
-  if (it == deployments_.end() || !it->second.active) {
+  if (it == deployments_.end()) {
     return util::Error{"teardown: no such active deployment"};
   }
   for (const auto& link : it->second.design.links()) {
     server_.disconnect_port(link.a);
   }
-  it->second.active = false;
+  deployments_.erase(it);
   return util::Status::Ok();
 }
 
 void LabService::expire_now() {
   util::SimTime now = net_.scheduler().now();
-  for (auto& [id, deployment] : deployments_) {
-    if (!deployment.active) continue;
-    auto reservation = calendar_.get(deployment.reservation);
+  for (auto it = deployments_.begin(); it != deployments_.end();) {
+    auto reservation = calendar_.get(it->second.reservation);
     if (!reservation.has_value() || !reservation->active_at(now)) {
       RNL_LOG(kInfo, kLog) << "reservation over: tearing down deployment "
-                           << id;
-      for (const auto& link : deployment.design.links()) {
+                           << it->first;
+      for (const auto& link : it->second.design.links()) {
         server_.disconnect_port(link.a);
       }
-      deployment.active = false;
+      it = deployments_.erase(it);
+    } else {
+      ++it;
     }
   }
   calendar_.expire(now);

@@ -36,7 +36,6 @@ struct Deployment {
   std::string user;
   TopologyDesign design;
   ReservationId reservation = 0;
-  bool active = true;
 };
 
 class LabService {
@@ -53,9 +52,6 @@ class LabService {
   /// Looks an inventory router up by its display name.
   [[nodiscard]] std::optional<routeserver::InventoryRouter> router_by_name(
       const std::string& name) const;
-  /// Resolves "<router name>:<port name>" (e.g. "hq/sw1:Gi0/2") to a port id.
-  [[nodiscard]] std::optional<wire::PortId> port_by_name(
-      const std::string& router_name, const std::string& port_name) const;
 
   // -- Design sessions (§2.1) --
   DesignId create_design(const std::string& user, const std::string& name);
@@ -88,6 +84,8 @@ class LabService {
   /// archived configurations through the consoles.
   util::Result<DeploymentId> deploy(DesignId id);
   util::Status teardown(DeploymentId id);
+  /// The live deployments. A deployment is forgotten when it ends: on
+  /// teardown, on reservation expiry, or when one of its routers leaves.
   [[nodiscard]] const std::map<DeploymentId, Deployment>& deployments() const {
     return deployments_;
   }

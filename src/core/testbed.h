@@ -50,8 +50,7 @@ class Testbed {
   ApiServer& api() { return api_; }
   /// The world's private registry: every component in this testbed (route
   /// server, sites, sim streams) publishes here, so concurrent testbeds in
-  /// different threads never share instruments (see bench_routeserver_scaling
-  /// run_per_user).
+  /// different threads never share instruments.
   util::MetricsRegistry& metrics() { return metrics_; }
   /// The world's trace sink, shared by the route server and every site so a
   /// cross-process trace id lands in rings one export can merge. Disabled

@@ -26,7 +26,6 @@ class Vt100Terminal {
   [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cursor_row() const { return cursor_row_; }
-  [[nodiscard]] int cursor_col() const { return cursor_col_; }
 
   /// Row contents, right-trimmed.
   [[nodiscard]] std::string line(int row) const;

@@ -58,7 +58,6 @@ class WebUiSession {
   /// Opens a new, empty design tab ("start multiple simultaneous design
   /// sessions").
   DesignId open_design(const std::string& name);
-  [[nodiscard]] DesignId current_design() const { return design_id_; }
 
   /// Drag a router from the inventory onto the plane (by display name).
   util::Status drag_router_to_plane(const std::string& router_name);

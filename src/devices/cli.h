@@ -36,7 +36,6 @@ class CliEngine {
 
   explicit CliEngine(std::string hostname);
 
-  void set_hostname(std::string hostname) { hostname_ = std::move(hostname); }
   [[nodiscard]] const std::string& hostname() const { return hostname_; }
 
   /// `interface_exists` validates names for the `interface` command.

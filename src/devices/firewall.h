@@ -54,7 +54,6 @@ class FirewallModule : public Device {
   void set_bpdu_forward(bool enabled) { bpdu_forward_ = enabled; }
   /// Permits outside-initiated traffic to `dst_port` for tcp/udp.
   void permit_inbound(std::uint8_t protocol, std::uint16_t dst_port);
-  void clear_inbound_permits() { inbound_permits_.clear(); }
 
   // -- Introspection --
   [[nodiscard]] packet::FailoverState state() const { return state_; }
@@ -64,9 +63,6 @@ class FirewallModule : public Device {
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] util::SimTime last_became_active() const {
     return last_became_active_;
-  }
-  [[nodiscard]] std::uint32_t failover_transitions() const {
-    return failover_transitions_;
   }
   [[nodiscard]] bool bpdu_forward() const { return bpdu_forward_; }
   [[nodiscard]] std::size_t connection_count() const {

@@ -48,7 +48,6 @@ class Host : public Device {
   /// Sends `count` echo requests spaced 100 ms apart.
   void ping(packet::Ipv4Address target, std::uint32_t count = 5,
             std::size_t payload_len = 32);
-  [[nodiscard]] std::uint32_t pings_sent() const { return pings_sent_; }
   [[nodiscard]] const std::deque<PingResult>& ping_replies() const {
     return ping_replies_;
   }

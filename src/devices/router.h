@@ -86,19 +86,15 @@ class Ipv4Router : public Device {
   void add_acl_entry(int number, AclEntry entry);
   void clear_acl(int number);
 
-  /// Sends `count` ICMP echo requests to `target`; results accumulate in
-  /// ping_stats(). Requests are spaced 100 ms apart.
+  /// Sends `count` ICMP echo requests to `target`, spaced 100 ms apart;
+  /// the CLI's `ping` reports the replies as a success rate.
   void ping(packet::Ipv4Address target, std::uint32_t count = 5);
 
   // -- Introspection --
   [[nodiscard]] const InterfaceConfig& interface_config(std::size_t i) const {
     return interfaces_.at(i);
   }
-  [[nodiscard]] packet::MacAddress interface_mac(std::size_t i) const {
-    return macs_.at(i);
-  }
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] const PingStats& ping_stats() const { return ping_stats_; }
   [[nodiscard]] std::vector<RouteEntry> routing_table() const;
   [[nodiscard]] std::optional<packet::MacAddress> arp_lookup(
       packet::Ipv4Address ip) const;

@@ -58,7 +58,6 @@ class EthernetSwitch : public Device {
 
   // -- Programmatic configuration (mirrors the CLI; used by tests/benches) --
   void set_stp_enabled(bool enabled);
-  [[nodiscard]] bool stp_enabled() const { return stp_enabled_; }
   void set_bridge_priority(std::uint16_t priority);
   void set_stp_timers(std::uint16_t hello_s, std::uint16_t forward_delay_s,
                       std::uint16_t max_age_s);

@@ -43,12 +43,6 @@ struct Ipv4Address {
 
   constexpr auto operator<=>(const Ipv4Address&) const = default;
 
-  static constexpr Ipv4Address from_octets(std::uint8_t a, std::uint8_t b,
-                                           std::uint8_t c, std::uint8_t d) {
-    return {(static_cast<std::uint32_t>(a) << 24) |
-            (static_cast<std::uint32_t>(b) << 16) |
-            (static_cast<std::uint32_t>(c) << 8) | d};
-  }
   static util::Result<Ipv4Address> parse(std::string_view text);
 
   [[nodiscard]] std::string to_string() const;

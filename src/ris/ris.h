@@ -120,7 +120,6 @@ class RouterInterface {
                               const std::vector<std::vector<std::size_t>>& slices);
 
   void set_server_address(std::string address) { server_address_ = std::move(address); }
-  [[nodiscard]] const std::string& server_address() const { return server_address_; }
 
   /// Fig 3 "save the current configuration": the whole RIS setup as JSON.
   [[nodiscard]] util::Json config_json() const;
@@ -193,7 +192,6 @@ class RouterInterface {
   [[nodiscard]] const wire::CompressionStats& compression_stats() const {
     return compressor_.stats();
   }
-  [[nodiscard]] std::size_t router_count() const { return routers_.size(); }
 
   /// Attaches this site to a trace sink (nullptr detaches). While the
   /// tracer is enabled, the capture path head-samples frames (the tracer's

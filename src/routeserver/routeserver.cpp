@@ -159,6 +159,8 @@ void RouteServer::set_egress_watermarks(std::size_t high, std::size_t low) {
     site->transport->set_egress_watermarks(egress_high_, egress_low_);
     if (egress_high_ == 0) site->shedding = false;
   }
+  // Disabled watermarks end every live site's shedding episode.
+  if (egress_high_ == 0) sites_shedding_ = 0;
 }
 
 void RouteServer::set_tracer(util::Tracer* tracer,
@@ -247,14 +249,6 @@ void RouteServer::flush_pending() {
   }
 }
 
-std::size_t RouteServer::sites_shedding() const {
-  std::size_t n = 0;
-  for (const auto& site : sites_) {
-    if (!site->dead && site->joined && site->shedding) ++n;
-  }
-  return n;
-}
-
 RouteServer::EgressVerdict RouteServer::egress_verdict(Site* site) {
   if (site->dead || egress_high_ == 0) return EgressVerdict::kOk;
   const std::size_t queued = egress_queued(site);
@@ -264,6 +258,7 @@ RouteServer::EgressVerdict RouteServer::egress_verdict(Site* site) {
   if (!site->shedding) {
     if (queued >= egress_high_) {
       site->shedding = true;
+      if (site->joined) ++sites_shedding_;
       site->shed_since = scheduler_.now();
       ++stats_.shed_entries;
       trace_instant(util::TraceInstant::kWatermarkEnter, 0,
@@ -313,6 +308,7 @@ void RouteServer::on_site_drained(Site* site) {
   }
   if (site->shedding && egress_queued(site) <= egress_low_) {
     site->shedding = false;
+    if (site->joined) --sites_shedding_;
     trace_instant(util::TraceInstant::kWatermarkExit, 0,
                   static_cast<std::uint32_t>(egress_queued(site)));
     RNL_LOG(kInfo, kLog) << "site '" << site->name
@@ -631,8 +627,7 @@ void RouteServer::handle_join(Site* site,
         ensure_port_tables(next_port_id_);
         RNL_DCHECK(port.id < ports_.size());
         RNL_DCHECK(ports_[port.id].site == nullptr);
-        ports_[port.id] =
-            PortRecord{site, router.id, port.name, port.description};
+        ports_[port.id] = PortRecord{site, router.id};
         ++port_count_;
       }
       routers_[router.id] = std::move(router);
@@ -642,6 +637,7 @@ void RouteServer::handle_join(Site* site,
     }
   }
   site->joined = true;
+  if (site->shedding) ++sites_shedding_;  // backpressured before its JOIN
   registry.live = site;
   ++stats_.sites_joined;
   // Per-site egress depth, visible in metrics.dump / the web UI while the
@@ -700,8 +696,7 @@ bool RouteServer::rebind_retained(Site* site, const wire::JoinRequest& request,
       // tables already cover them and the slot was cleared at its departure.
       RNL_DCHECK(port.id < ports_.size());
       RNL_DCHECK(ports_[port.id].site == nullptr);
-      ports_[port.id] =
-          PortRecord{site, retained.id, port.name, port.description};
+      ports_[port.id] = PortRecord{site, retained.id};
       ++port_count_;
       if (port.id < matrix_.size() && matrix_[port.id].peer != 0) {
         ++stats_.matrix_entries_restored;
@@ -939,6 +934,7 @@ void RouteServer::remove_site(Site* site, bool orderly) {
   RNL_DCHECK(on_owner_thread());
   if (site->dead) return;
   site->dead = true;
+  if (site->joined && site->shedding) --sites_shedding_;
   dead_sites_.push_back(site);
   if (site->joined && !site->name.empty()) {
     // The per-site probe reads this Site object; drop it before the site

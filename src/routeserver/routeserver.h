@@ -313,8 +313,8 @@ class RouteServer {
   }
   /// True while any joined site is in the shedding regime — the admission
   /// probe LabService::deploy consults before programming new wires.
-  [[nodiscard]] bool overloaded() const { return sites_shedding() != 0; }
-  [[nodiscard]] std::size_t sites_shedding() const;
+  [[nodiscard]] bool overloaded() const { return sites_shedding_ != 0; }
+  [[nodiscard]] std::size_t sites_shedding() const { return sites_shedding_; }
   void set_console_output_handler(ConsoleOutputHandler handler) {
     console_output_ = std::move(handler);
   }
@@ -465,8 +465,6 @@ class RouteServer {
   struct PortRecord {
     Site* site = nullptr;  // nullptr: slot unassigned or site departed
     wire::RouterId router = 0;
-    std::string name;
-    std::string description;
   };
 
   struct WireEnd {
@@ -575,6 +573,9 @@ class RouteServer {
   /// is this single compare against zero.
   std::size_t active_captures_ = 0;
   std::size_t port_count_ = 0;  // live (site != nullptr) entries in ports_
+  /// Sites that are live (not dead), joined and shedding, kept at each
+  /// regime transition so deploy admission never scans the shard.
+  std::size_t sites_shedding_ = 0;
   std::size_t wires_ = 0;       // live wires (matrix entries / 2)
   ConsoleOutputHandler console_output_;
   InventoryChangedHandler inventory_changed_;

@@ -92,9 +92,6 @@ class Cable {
   Cable(const Cable&) = delete;
   Cable& operator=(const Cable&) = delete;
 
-  [[nodiscard]] const CableProperties& properties() const { return props_; }
-  void set_properties(CableProperties props) { props_ = props; }
-
   [[nodiscard]] Port& end_a() const { return a_; }
   [[nodiscard]] Port& end_b() const { return b_; }
 

@@ -58,8 +58,9 @@ constexpr std::uint32_t kDefaultStageSamplePeriod = 16;
 /// Default head-sampling period for the tracer. Deliberately sparser than
 /// the stage clocks: a head-sampled frame pays an 8-byte wire prefix plus
 /// ~8 spans (two clock reads and a ring write each) across three
-/// processes, so 1-in-64 keeps always-on tracing under the <3% forwarding
-/// overhead budget (bench_routeserver_scaling `trace_overhead`).
+/// processes, so 1-in-64 was chosen to keep always-on tracing under a 3%
+/// forwarding overhead; bench_routeserver_scaling's `trace_overhead`
+/// measures what it actually costs (EXPERIMENTS E8).
 constexpr std::uint32_t kDefaultHeadSamplePeriod = 64;
 
 /// Where in the forwarding path a span or instant was recorded.

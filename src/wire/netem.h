@@ -58,7 +58,6 @@ class Netem {
         sink_(std::move(sink)),
         alive_(std::make_shared<int>(0)) {}
 
-  void set_profile(NetemProfile profile) { profile_ = profile; }
   [[nodiscard]] const NetemProfile& profile() const { return profile_; }
 
   /// Every non-lost frame records the delay actually applied (base + drawn

@@ -111,6 +111,58 @@ TEST_F(ServiceFlow, ExpiredReservationTearsDownAutomatically) {
   EXPECT_EQ(bed.server().wire_count(), 0u);
 }
 
+TEST(LabServiceLedger, EndedDeploymentsAreForgotten) {
+  // deployments() holds live labs only. A teardown, a lapsed reservation
+  // and a lost site each end a lab, and an ended lab is erased, so the
+  // walks deploy makes over deployments never grow with the labs a
+  // service has already served.
+  Testbed bed(72);
+  ris::RouterInterface& hq = bed.add_site("hq");
+  for (int i = 1; i <= 6; ++i) bed.add_host(hq, "h" + std::to_string(i));
+  ris::RouterInterface& edge = bed.add_site("edge");
+  bed.add_host(edge, "e1");
+  bed.add_host(edge, "e2");
+  bed.join_all();
+  LabService& service = bed.service();
+  auto deploy_pair = [&](const std::string& a, const std::string& b,
+                         Duration lasts) {
+    DesignId id = service.create_design("alice", a + "+" + b);
+    EXPECT_TRUE(service.design(id)->add_router(bed.router_id(a)).ok());
+    EXPECT_TRUE(service.design(id)->add_router(bed.router_id(b)).ok());
+    EXPECT_TRUE(service.design(id)
+                    ->connect(bed.port_id(a, "eth0"), bed.port_id(b, "eth0"))
+                    .ok());
+    EXPECT_TRUE(
+        service.reserve(id, bed.net().now(), bed.net().now() + lasts).ok());
+    auto deployment = service.deploy(id);
+    EXPECT_TRUE(deployment.ok()) << deployment.error();
+    return deployment.ok() ? *deployment : DeploymentId{0};
+  };
+  const DeploymentId torn = deploy_pair("hq/h1", "hq/h2", Duration::hours(1));
+  const DeploymentId lapsed =
+      deploy_pair("hq/h3", "hq/h4", Duration::minutes(2));
+  const DeploymentId lost =
+      deploy_pair("edge/e1", "edge/e2", Duration::hours(1));
+  const DeploymentId live = deploy_pair("hq/h5", "hq/h6", Duration::hours(1));
+  ASSERT_EQ(service.deployments().size(), 4u);
+
+  ASSERT_TRUE(service.teardown(torn).ok());
+  EXPECT_EQ(service.deployments().size(), 3u);
+  bed.run_for(Duration::minutes(5));  // the minute sweep ends `lapsed`
+  EXPECT_EQ(service.deployments().size(), 2u);
+  edge.leave();  // ends `lost`
+  bed.run_for(Duration::seconds(1));
+
+  ASSERT_EQ(service.deployments().size(), 1u);
+  EXPECT_EQ(service.deployments().begin()->first, live);
+  EXPECT_EQ(bed.server().wire_count(), 1u);
+  for (DeploymentId ended : {torn, lapsed, lost}) {
+    util::Status status = service.teardown(ended);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error(), "teardown: no such active deployment");
+  }
+}
+
 TEST_F(ServiceFlow, DeployRefusedWhileRouteServerIsOverloaded) {
   // Admission control: while any site's egress is shedding, new deployments
   // would only pour more traffic into a server already parking memory for a
