@@ -62,7 +62,12 @@
 #              assert the report's invariants (bounded port tables, zero
 #              retained ports, journal recovery with torn-tail truncation,
 #              deploys kept landing, a reason for every failed deploy) from
-#              the emitted BENCH_fleet.json, and print each failed deploy.
+#              the emitted report, and print each failed deploy. Also
+#              asserts replay determinism: the report must match the
+#              committed BENCH_fleet.json on every field except the
+#              wall-clock ones (wall_ms, deploys.p50_us, deploys.p99_us),
+#              printing each key that differs. A change that alters soak
+#              behaviour regenerates BENCH_fleet.json in the same commit.
 #   --trace    tracing smoke: run examples/trace_smoke (a 2-site forwarding
 #              burst over TCP loopback at 1-in-1 head sampling, which
 #              asserts >= 1 complete cross-process trace and the sub-span
@@ -273,10 +278,34 @@ for failure in deploys["failures"]:
           f"{failure['error']}")
 faults = report["faults"]
 total = sum(faults.values())
+
+# Replay determinism: same seed, same soak. Only wall-clock fields may move.
+def flatten(node, prefix=""):
+    if isinstance(node, dict):
+        out = {}
+        for key, value in node.items():
+            out.update(flatten(value, f"{prefix}{key}."))
+        return out
+    return {prefix[:-1]: node}
+
+wall_clock = {"wall_ms", "deploys.p50_us", "deploys.p99_us"}
+with open("BENCH_fleet.json") as f:
+    committed = flatten(json.load(f))
+fresh = flatten(report)
+differing = sorted(key for key in committed.keys() | fresh.keys()
+                   if key not in wall_clock
+                   and committed.get(key) != fresh.get(key))
+for key in differing:
+    print(f"soak replay differs at {key}: committed "
+          f"{committed.get(key)!r}, fresh {fresh.get(key)!r}")
+assert not differing, \
+    f"soak replay differs from BENCH_fleet.json on {len(differing)} key(s)"
+
 print(f"soak OK: {report['sites']} sites, {total} faults applied, "
       f"{deploys['ok']}/{deploys['scheduled']} deploys ok "
       f"(p99 {deploys['p99_us']:.0f} us), "
-      f"{store['records_replayed']} records replayed at restart")
+      f"{store['records_replayed']} records replayed at restart, "
+      f"replay matches BENCH_fleet.json")
 EOF
 fi
 

@@ -32,6 +32,21 @@ util::Status write_all(int fd, const std::string& bytes,
   return util::Status::Ok();
 }
 
+/// fsync the directory containing `path` so a rename/create of `path`
+/// itself survives a crash.
+util::Status fsync_parent_dir(const std::string& path) {
+  // Fresh-constructed rather than assigned-over: GCC 12's -Wrestrict
+  // false-positives on assigning a literal into existing string storage.
+  const fs::path parent = fs::path(path).parent_path();
+  const std::string dir = parent.empty() ? std::string(".") : parent.string();
+  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) return errno_error("fsutil: open dir", dir);
+  util::Status status = util::Status::Ok();
+  if (::fsync(dfd) != 0) status = errno_error("fsutil: fsync dir", dir);
+  ::close(dfd);
+  return status;
+}
+
 }  // namespace
 
 util::Status read_file(const std::string& path, std::string* out,
@@ -70,19 +85,6 @@ util::Status write_file_durable(const std::string& path,
     return err;
   }
   return fsync_parent_dir(path);
-}
-
-util::Status fsync_parent_dir(const std::string& path) {
-  // Fresh-constructed rather than assigned-over: GCC 12's -Wrestrict
-  // false-positives on assigning a literal into existing string storage.
-  const fs::path parent = fs::path(path).parent_path();
-  const std::string dir = parent.empty() ? std::string(".") : parent.string();
-  int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd < 0) return errno_error("fsutil: open dir", dir);
-  util::Status status = util::Status::Ok();
-  if (::fsync(dfd) != 0) status = errno_error("fsutil: fsync dir", dir);
-  ::close(dfd);
-  return status;
 }
 
 }  // namespace rnl::core::fsutil

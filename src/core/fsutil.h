@@ -1,8 +1,7 @@
 #pragma once
 
-// Crash-safe file primitives shared by FileStore and the journal: durable
-// whole-file replacement (temp + fsync + rename + directory fsync) and the
-// individual fsync steps for callers that append in place.
+// Crash-safe file primitives for the journal: whole-file reads and durable
+// whole-file replacement (temp + fsync + rename + directory fsync).
 
 #include <string>
 
@@ -19,9 +18,5 @@ util::Status read_file(const std::string& path, std::string* out, bool* found);
 /// its previous content or `bytes`, never a prefix.
 util::Status write_file_durable(const std::string& path,
                                 const std::string& bytes);
-
-/// fsync the directory containing `path` so a rename/create of `path`
-/// itself survives a crash.
-util::Status fsync_parent_dir(const std::string& path);
 
 }  // namespace rnl::core::fsutil

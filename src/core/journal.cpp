@@ -11,6 +11,7 @@
 #include "core/fsutil.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
+#include "util/strings.h"
 
 namespace rnl::core {
 
@@ -369,7 +370,23 @@ util::Status JournalStore::append(const std::string& stream,
 }
 
 // ---------------------------------------------------------------------------
-// Store interface (kv stream)
+// Key/value documents (kv stream)
+
+bool JournalStore::valid_key(const std::string& key) {
+  if (key.empty()) return false;
+  for (const auto& segment : util::split(key, '/')) {
+    if (segment.empty()) return false;
+    bool all_dots = true;
+    for (char c : segment) {
+      bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+      if (!ok) return false;
+      if (c != '.') all_dots = false;
+    }
+    if (all_dots) return false;  // ".", "..", "..." are path tricks
+  }
+  return true;
+}
 
 util::Status JournalStore::put(const std::string& key,
                                const util::Json& value) {
@@ -384,18 +401,12 @@ util::Status JournalStore::put(const std::string& key,
   return util::Status::Ok();
 }
 
-util::Result<util::Json> JournalStore::get(const std::string& key,
-                                           StoreErrorKind* kind) const {
-  if (!valid_key(key)) {
-    if (kind != nullptr) *kind = StoreErrorKind::kInvalidKey;
-    return util::Error{"store: invalid key '" + key + "'"};
-  }
+util::Result<util::Json> JournalStore::get(const std::string& key) const {
+  if (!valid_key(key)) return util::Error{"store: invalid key '" + key + "'"};
   auto it = kv_.find(key);
   if (it == kv_.end()) {
-    if (kind != nullptr) *kind = StoreErrorKind::kNotFound;
     return util::Error{"store: no such key '" + key + "'"};
   }
-  if (kind != nullptr) *kind = StoreErrorKind::kNone;
   return it->second;
 }
 

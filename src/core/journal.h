@@ -2,13 +2,13 @@
 
 // Event-sourced crash-safe store (DESIGN.md §14).
 //
-// The service plane's durable state (designs, archived configs, the
-// reservation calendar, route-server epochs) is small but mutates under
-// churn: thousands of sites reserving, deploying, and rejoining. Rewriting
-// whole documents per mutation (FileStore) is both slow and torn-write
-// prone; the JournalStore instead appends one checksummed record per
-// mutation to a write-ahead journal and periodically compacts the log into
-// a snapshot written with temp-file + rename + fsync.
+// The service plane's durable state (§2.1: designs and archived configs
+// live on the web server; plus the reservation calendar and route-server
+// epochs) is small but mutates under churn: thousands of sites reserving,
+// deploying, and rejoining. Rewriting whole documents per mutation is both
+// slow and torn-write prone; the JournalStore instead appends one
+// checksummed record per mutation to a write-ahead journal and periodically
+// compacts the log into a snapshot written with temp-file + rename + fsync.
 //
 // Record wire format (big-endian, like every RNL wire), one per mutation:
 //
@@ -30,7 +30,7 @@
 //     rewritten clean (temp + rename + fsync), so recovering again reports
 //     zero anomalies and reproduces the same state.
 //
-// Beyond the key/value Store interface (an internal "kv" stream), callers
+// Beyond its key/value documents (an internal "kv" stream), callers
 // register named event streams with three hooks — a `state` reducer used at
 // compaction, `restore` for snapshot state, `apply` for tail events — so
 // components like the reservation calendar journal mutations instead of
@@ -43,7 +43,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/store.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/result.h"
@@ -98,11 +97,13 @@ class Journal {
   [[nodiscard]] static ScanResult scan(std::string_view bytes);
 };
 
-/// Event-sourced Store backend rooted at a directory:
+/// Event-sourced store rooted at a directory:
 ///   root/journal.log     — the write-ahead record log
 ///   root/snapshot.json   — last compaction ({"seq": N, "streams": {...}})
 ///   root/quarantine.log  — raw bytes of records recovery refused to apply
-class JournalStore final : public Store {
+/// Keys look like "design/alice/failover-lab"; each '/'-separated segment
+/// is restricted to a safe character set (valid_key).
+class JournalStore {
  public:
   struct Options {
     /// Auto-compact after this many appended events (0 = only explicit
@@ -131,19 +132,22 @@ class JournalStore final : public Store {
                         util::MetricsRegistry* metrics = nullptr);
   JournalStore(std::string root, util::MetricsRegistry* metrics,
                Options options);
-  ~JournalStore() override;
+  ~JournalStore();
 
   JournalStore(const JournalStore&) = delete;
   JournalStore& operator=(const JournalStore&) = delete;
 
-  // Store interface — the journal's internal "kv" stream.
-  util::Status put(const std::string& key, const util::Json& value) override;
-  [[nodiscard]] util::Result<util::Json> get(
-      const std::string& key, StoreErrorKind* kind = nullptr) const override;
-  [[nodiscard]] bool contains(const std::string& key) const override;
-  util::Status remove(const std::string& key) override;
-  [[nodiscard]] std::vector<std::string> keys(
-      const std::string& prefix) const override;
+  // Key/value documents — the journal's internal "kv" stream.
+  util::Status put(const std::string& key, const util::Json& value);
+  [[nodiscard]] util::Result<util::Json> get(const std::string& key) const;
+  [[nodiscard]] bool contains(const std::string& key) const;
+  util::Status remove(const std::string& key);
+  /// All keys under `prefix` (e.g. "design/alice"), sorted.
+  [[nodiscard]] std::vector<std::string> keys(const std::string& prefix) const;
+
+  /// True iff every '/'-separated segment is non-empty and uses only
+  /// [A-Za-z0-9._-] (and '.' segments like ".." are rejected outright).
+  static bool valid_key(const std::string& key);
 
   /// Registers an event stream. If recovery already replayed state for
   /// this stream (snapshot and/or tail events), the hooks are fed it

@@ -349,7 +349,7 @@ std::optional<std::string> LabService::archived_config(
   return std::nullopt;
 }
 
-void LabService::attach_store(Store* store) {
+void LabService::attach_store(JournalStore* store) {
   store_ = store;
   if (store_ == nullptr) {
     calendar_.set_mutation_observer(nullptr);
@@ -362,21 +362,19 @@ void LabService::attach_store(Store* store) {
           std::move(*json);
     }
   }
-  // Event-sourced backend: the calendar journals its mutations instead of
-  // being rewritten wholesale. register_stream replays any recovered
-  // snapshot + tail into the calendar immediately.
-  if (auto* journal = dynamic_cast<JournalStore*>(store_)) {
-    journal->register_stream(
-        "reservations",
-        JournalStore::StreamHooks{
-            [this] { return calendar_.to_json(); },
-            [this](const util::Json& state) { calendar_.restore(state); },
-            [this](const util::Json& event) { calendar_.apply(event); },
-        });
-    calendar_.set_mutation_observer([journal](const util::Json& event) {
-      (void)journal->append("reservations", event);
-    });
-  }
+  // The calendar journals its mutations instead of being rewritten
+  // wholesale. register_stream replays any recovered snapshot + tail into
+  // the calendar immediately.
+  store_->register_stream(
+      "reservations",
+      JournalStore::StreamHooks{
+          [this] { return calendar_.to_json(); },
+          [this](const util::Json& state) { calendar_.restore(state); },
+          [this](const util::Json& event) { calendar_.apply(event); },
+      });
+  calendar_.set_mutation_observer([store](const util::Json& event) {
+    (void)store->append("reservations", event);
+  });
 }
 
 void LabService::store_config(wire::RouterId router, std::string config) {

@@ -20,7 +20,6 @@
 
 #include "core/design.h"
 #include "core/reservation.h"
-#include "core/store.h"
 #include "routeserver/routeserver.h"
 #include "simnet/network.h"
 #include "util/result.h"
@@ -30,6 +29,8 @@ namespace rnl::core {
 
 using DesignId = std::uint64_t;
 using DeploymentId = std::uint64_t;
+
+class JournalStore;
 
 struct Deployment {
   DeploymentId id = 0;
@@ -120,14 +121,14 @@ class LabService {
   [[nodiscard]] util::Tracer* tracer() { return server_.tracer(); }
 
   // -- Durable storage (§2.1: designs live on the web server) --
-  /// Attaches a store backend (non-owning). Stored designs are loaded
-  /// immediately; subsequent design saves and config archives write
-  /// through. Config archives are keyed by inventory name, so they survive
-  /// server restarts where router ids change. When the store is a
-  /// JournalStore, the reservation calendar becomes event-sourced: each
-  /// reserve/cancel/expire appends one journal event, recovery replays
-  /// them, and compaction snapshots the calendar (DESIGN.md §14).
-  void attach_store(Store* store);
+  /// Attaches the journal (non-owning; nullptr detaches). Stored designs
+  /// are loaded immediately; subsequent design saves and config archives
+  /// write through. Config archives are keyed by inventory name, so they
+  /// survive server restarts where router ids change. The reservation
+  /// calendar is event-sourced on the journal's "reservations" stream:
+  /// each reserve/cancel/expire appends one event, recovery replays them,
+  /// and compaction snapshots the calendar (DESIGN.md §14).
+  void attach_store(JournalStore* store);
 
   // -- Layer-1 switches (§4, Fig 7) --
   /// Registers a programmable cross-connect so the web-services API can
@@ -165,7 +166,7 @@ class LabService {
   std::map<wire::RouterId, std::string> console_logs_;
   std::map<wire::RouterId, std::string> config_archive_;
   std::map<std::string, wire::Layer1Switch*> layer1_switches_;
-  Store* store_ = nullptr;
+  JournalStore* store_ = nullptr;
   DesignId next_design_id_ = 1;
   DeploymentId next_deployment_id_ = 1;
   // Keeps the periodic expiry sweep alive; destroying the service stops it.

@@ -108,14 +108,6 @@ void EthernetSwitch::set_bridge_priority(std::uint16_t priority) {
   recompute_roles();
 }
 
-void EthernetSwitch::set_stp_timers(std::uint16_t hello_s,
-                                    std::uint16_t forward_delay_s,
-                                    std::uint16_t max_age_s) {
-  hello_seconds_ = hello_s;
-  forward_delay_seconds_ = forward_delay_s;
-  max_age_seconds_ = max_age_s;
-}
-
 void EthernetSwitch::set_port_shutdown(std::size_t index, bool shutdown) {
   port_configs_.at(index).shutdown = shutdown;
   port(index).set_up(powered() && !shutdown);

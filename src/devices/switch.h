@@ -59,8 +59,6 @@ class EthernetSwitch : public Device {
   // -- Programmatic configuration (mirrors the CLI; used by tests/benches) --
   void set_stp_enabled(bool enabled);
   void set_bridge_priority(std::uint16_t priority);
-  void set_stp_timers(std::uint16_t hello_s, std::uint16_t forward_delay_s,
-                      std::uint16_t max_age_s);
   PortConfig& port_config(std::size_t index) { return port_configs_.at(index); }
   void set_port_shutdown(std::size_t index, bool shutdown);
 

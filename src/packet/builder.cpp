@@ -50,15 +50,4 @@ EthernetFrame make_udp(MacAddress src_mac, MacAddress dst_mac,
   return wrap_ipv4(src_mac, dst_mac, std::move(ip));
 }
 
-EthernetFrame make_tcp(MacAddress src_mac, MacAddress dst_mac,
-                       Ipv4Address src_ip, Ipv4Address dst_ip,
-                       const TcpSegment& segment) {
-  Ipv4Packet ip;
-  ip.protocol = static_cast<std::uint8_t>(IpProto::kTcp);
-  ip.src = src_ip;
-  ip.dst = dst_ip;
-  ip.payload = segment.serialize(src_ip, dst_ip);
-  return wrap_ipv4(src_mac, dst_mac, std::move(ip));
-}
-
 }  // namespace rnl::packet

@@ -20,9 +20,4 @@ EthernetFrame make_udp(MacAddress src_mac, MacAddress dst_mac,
                        std::uint16_t src_port, std::uint16_t dst_port,
                        util::BytesView payload);
 
-/// TCP segment wrapped in IPv4 wrapped in Ethernet.
-EthernetFrame make_tcp(MacAddress src_mac, MacAddress dst_mac,
-                       Ipv4Address src_ip, Ipv4Address dst_ip,
-                       const TcpSegment& segment);
-
 }  // namespace rnl::packet

@@ -8,10 +8,9 @@ namespace rnl::ris {
 namespace {
 constexpr const char* kLog = "ris";
 // Stage-latency histograms (capture/replay) sample 1 frame in
-// util::kDefaultStageSamplePeriod — the shared stage-clock knob (the
-// tracer's head sampler uses the sparser util::kDefaultHeadSamplePeriod,
-// since traced frames cost more than a clocked one). The power-of-two mask
-// keeps the modulo branch-free.
+// util::kDefaultStageSamplePeriod (the tracer's head sampler uses the
+// sparser util::kDefaultHeadSamplePeriod, since traced frames cost more
+// than a clocked one). The power-of-two mask keeps the modulo branch-free.
 constexpr std::uint64_t kStageSampleMask = util::kDefaultStageSamplePeriod - 1;
 static_assert((util::kDefaultStageSamplePeriod &
                (util::kDefaultStageSamplePeriod - 1)) == 0,
@@ -219,7 +218,6 @@ void RouterInterface::start_session(
   transport_->set_receive_handler(
       [this](util::BytesView chunk) { on_transport_data(chunk); });
   transport_->set_close_handler([this] { on_tunnel_lost(); });
-  transport_->set_egress_watermarks(egress_high_, egress_low_);
 
   // The JOIN depends only on the declarations, so it is encoded once and
   // resent as is on every reconnect until a declaration changes.
@@ -354,13 +352,6 @@ void RouterInterface::send_message(const wire::TunnelMessage& message,
   transport_->send(wire_bytes);
 }
 
-void RouterInterface::set_uplink_batching(std::size_t max_frames,
-                                          std::size_t max_bytes) {
-  flush_uplink();  // drain under the old policy; no frame is stranded
-  uplink_batch_frames_ = max_frames == 0 ? 1 : max_frames;
-  uplink_batch_bytes_ = max_bytes == 0 ? SIZE_MAX : max_bytes;
-}
-
 void RouterInterface::flush_uplink() {
   const std::size_t frames = pending_uplink_frames_;
   if (frames == 0) return;
@@ -402,28 +393,10 @@ void RouterInterface::schedule_uplink_flush() {
   net_.scheduler().schedule_after(util::Duration{}, *uplink_flush_task_);
 }
 
-void RouterInterface::set_egress_watermarks(std::size_t high,
-                                            std::size_t low) {
-  egress_high_ = high;
-  egress_low_ = low > high ? high : low;
-  if (transport_) transport_->set_egress_watermarks(egress_high_, egress_low_);
-}
-
 void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
                                 util::BytesView frame,
                                 std::uint64_t trace_id) {
   if (!transport_ || !transport_->is_open()) return;
-  if (!transport_->writable()) {
-    // Shed before the compressor sees the frame: the ring must not advance
-    // for a frame the server will never receive, or lockstep breaks.
-    ++stats_.shed_frames;
-    if (trace_id != 0 && tracing()) {
-      trace_ring_->push({trace_id, util::monotonic_ns(), 0,
-                         util::TraceStage::kLifecycle,
-                         util::TraceInstant::kShedDrop, port_id});
-    }
-    return;
-  }
   util::ByteWriter& w = send_buffer_;
   // Append behind the frames captured earlier in this burst. Opening a
   // batch (pending_uplink_frames_ == 0) clears the buffer first, so a batch
@@ -458,11 +431,10 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   if (!grew && !compression_enabled_) ++stats_.fast_path_frames;
   ++pending_uplink_frames_;
   if (uplink_batch_trace_id_ == 0) uplink_batch_trace_id_ = trace_id;
-  // A frame cap of 1 flushes every frame here. Only a batch this append
-  // opened and left open arms the end-of-burst task, so a frame that
-  // flushes at once costs no scheduler event.
-  if (pending_uplink_frames_ >= uplink_batch_frames_ ||
-      w.size() >= uplink_batch_bytes_) {
+  // Only the append that opens a batch arms the end-of-burst task: one
+  // scheduler event per batch, none for a batch the caps already flushed.
+  if (pending_uplink_frames_ >= kUplinkBatchFrames ||
+      w.size() >= kUplinkBatchBytes) {
     flush_uplink();
   } else if (pending_uplink_frames_ == 1) {
     schedule_uplink_flush();

@@ -57,15 +57,13 @@ struct RisStats {
   std::uint64_t reconnect_failures = 0;
   std::uint64_t reconnect_giveups = 0;
   std::uint64_t stale_epoch_drops = 0;
-  /// Captured kData frames dropped instead of queued because the tunnel's
-  /// egress was backpressured (watermarks enabled via
-  /// set_egress_watermarks). Shed before the compressor ring sees them, so
-  /// lockstep with the server's decompressor is preserved.
+  /// Captured kData frames the RIS dropped instead of sending. Nothing
+  /// sheds on the uplink (the tunnel has no egress watermarks on the RIS
+  /// side), so this stays 0; kept because the benchmark harness reads it.
   std::uint64_t shed_frames = 0;
   /// Uplink coalescing: transport writes that carried at least one data
   /// frame, and the writes avoided by batching (frames beyond the first of
-  /// each flush). At a frame cap of 1, egress_flushes tracks frames_up and
-  /// frames_coalesced stays zero.
+  /// each flush).
   std::uint64_t egress_flushes = 0;
   std::uint64_t frames_coalesced = 0;
 };
@@ -160,33 +158,19 @@ class RouterInterface {
   [[nodiscard]] std::uint32_t session_epoch() const { return epoch_; }
 
   void set_compression_enabled(bool enabled) { compression_enabled_ = enabled; }
-  /// Tunnel egress watermarks, applied to the current transport and every
-  /// future (reconnect) one. While the queue sits above `high`, captured
-  /// data frames are shed (stats().shed_frames) instead of buffered without
-  /// bound; control traffic (JOIN, keepalive, console, leave) always goes
-  /// through. `high` == 0 (the default) disables shedding.
-  void set_egress_watermarks(std::size_t high, std::size_t low);
 
   // -- Uplink batching --
   // Captured data frames accumulate in the reusable send buffer and go to
   // the transport in one write. A batch flushes when it reaches
-  // `max_frames` frames or `max_bytes` buffered bytes, before any control
-  // frame (JOIN, keepalive, console, leave — FIFO across classes), and at
-  // a zero-delay scheduled task armed when an append leaves a one-frame
-  // batch open, i.e. after every event already queued at the current
-  // instant has run — so a burst of captures coalesces but a lone frame
-  // never waits for wall time.
-  // Frames are never split across writes; the per-frame shed check
-  // (writable()) still runs before each frame touches the compressor ring.
-
-  /// Defaults: the byte budget sits well below any sane egress watermark so
-  /// batching cannot defeat shedding.
-  static constexpr std::size_t kDefaultUplinkBatchFrames = 32;
-  static constexpr std::size_t kDefaultUplinkBatchBytes = 16 * 1024;
-  /// `max_frames` <= 1 disables coalescing: every captured frame flushes on
-  /// append, one write per frame and no scheduled flush. `max_bytes` == 0
-  /// means no byte budget.
-  void set_uplink_batching(std::size_t max_frames, std::size_t max_bytes);
+  // kUplinkBatchFrames frames or kUplinkBatchBytes buffered bytes, before
+  // any control frame (JOIN, keepalive, console, leave — FIFO across
+  // classes), and at a zero-delay scheduled task armed when an append
+  // leaves a one-frame batch open, i.e. after every event already queued at
+  // the current instant has run — so a burst of captures coalesces but a
+  // lone frame never waits for wall time. Frames are never split across
+  // writes.
+  static constexpr std::size_t kUplinkBatchFrames = 32;
+  static constexpr std::size_t kUplinkBatchBytes = 16 * 1024;
 
   [[nodiscard]] const RisStats& stats() const { return stats_; }
   [[nodiscard]] const wire::CompressionStats& compression_stats() const {
@@ -280,10 +264,6 @@ class RouterInterface {
   /// per send, capacity kept), so steady-state uplink is allocation-free.
   util::ByteWriter send_buffer_;
   bool compression_enabled_ = false;
-  std::size_t egress_high_ = 0;
-  std::size_t egress_low_ = 0;
-  std::size_t uplink_batch_frames_ = kDefaultUplinkBatchFrames;
-  std::size_t uplink_batch_bytes_ = kDefaultUplinkBatchBytes;
   /// Data frames serialized into send_buffer_ but not yet written to the
   /// transport. Cleared on flush and on every session change (the batch
   /// belongs to exactly one connection).
@@ -322,7 +302,7 @@ class RouterInterface {
   std::string metrics_prefix_;
   util::Histogram* capture_hist_ = nullptr;
   util::Histogram* replay_hist_ = nullptr;
-  /// Data frames per uplink flush (all 1s at a frame cap of 1).
+  /// Data frames per uplink flush.
   util::Histogram* egress_batch_hist_ = nullptr;
   /// Distribution of the (jittered) delays the reconnect machine slept.
   util::Histogram* backoff_hist_ = nullptr;

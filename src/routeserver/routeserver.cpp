@@ -184,15 +184,6 @@ void RouteServer::trace_instant(util::TraceInstant detail,
                      util::TraceStage::kLifecycle, detail, arg});
 }
 
-void RouteServer::set_egress_batching(std::size_t max_frames,
-                                      std::size_t max_bytes) {
-  // Knob changes take effect between bursts: drain every open batch under
-  // the old policy first so no frame is stranded by a smaller cap.
-  flush_pending();
-  batch_max_frames_ = max_frames == 0 ? 1 : max_frames;
-  batch_max_bytes_ = max_bytes == 0 ? SIZE_MAX : max_bytes;
-}
-
 void RouteServer::flush_site(Site* site) {
   const std::size_t frames = site->pending_data_frames;
   if (frames == 0) return;
@@ -902,15 +893,14 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
   ++site->pending_data_frames;
   site->pending_data_bytes = w.size();
   if (site->batch_trace_id == 0) site->batch_trace_id = trace_id;
-  // Flush on the frame/byte caps (a frame cap of 1 flushes every frame
-  // here) — and the moment the batch pushes the site's egress over the
-  // high watermark, so the transport sees the bytes now and backpressure
-  // (shedding, hard cap, drain callbacks) engages per-frame instead of a
-  // whole batch late. The frame itself is always appended whole first:
-  // batching never splits a frame. A batch left open waits in flush_list_
-  // for the end-of-burst flush.
-  if (site->pending_data_frames >= batch_max_frames_ ||
-      site->pending_data_bytes >= batch_max_bytes_ ||
+  // Flush on the frame/byte caps — and the moment the batch pushes the
+  // site's egress over the high watermark, so the transport sees the bytes
+  // now and backpressure (shedding, hard cap, drain callbacks) engages
+  // per-frame instead of a whole batch late. The frame itself is always
+  // appended whole first: batching never splits a frame. A batch left open
+  // waits in flush_list_ for the end-of-burst flush.
+  if (site->pending_data_frames >= kEgressBatchFrames ||
+      site->pending_data_bytes >= kEgressBatchBytes ||
       (egress_high_ != 0 && egress_queued(site) >= egress_high_)) {
     flush_site(site);
   } else if (!site->in_flush_list) {

@@ -87,11 +87,9 @@ struct DataPlaneStats {
   /// framing the payload behind its header for the transport).
   std::uint64_t bytes_copied = 0;
   /// Egress coalescing: transport writes that carried at least one data
-  /// frame. With batching on, several forwarded frames share one write;
-  /// frames_coalesced counts the transport sends avoided that way
-  /// (batched frames beyond the first of each flush). At a frame cap of 1,
-  /// egress_flushes == fast_path_frames + slow_path_frames (per delivered
-  /// frame) and frames_coalesced stays zero.
+  /// frame. Several forwarded frames share one write; frames_coalesced
+  /// counts the transport sends avoided that way (batched frames beyond
+  /// the first of each flush).
   std::uint64_t egress_flushes = 0;
   std::uint64_t frames_coalesced = 0;
 };
@@ -291,21 +289,18 @@ class RouteServer {
   // -- Egress batching (forward fast path) --
   // Outgoing data frames toward one site accumulate in its reusable send
   // buffer and flush in a single transport write. A batch flushes when it
-  // reaches `max_frames` frames or `max_bytes` buffered bytes, when the
-  // site's egress crosses the high watermark (so transport backpressure —
-  // and with it per-frame shedding — engages promptly), before any control
-  // frame toward the same site (FIFO across classes is preserved), and at
-  // the end of every delivery burst (end of a readable event, an
-  // inject_frame call, or an impaired-wire hand-off) so no frame ever
-  // waits for unrelated traffic. Frames are never split across writes.
+  // reaches kEgressBatchFrames frames or kEgressBatchBytes buffered bytes,
+  // when the site's egress crosses the high watermark (so transport
+  // backpressure — and with it per-frame shedding — engages promptly),
+  // before any control frame toward the same site (FIFO across classes is
+  // preserved), and at the end of every delivery burst (end of a readable
+  // event, an inject_frame call, or an impaired-wire hand-off) so no frame
+  // ever waits for unrelated traffic. Frames are never split across writes.
 
-  /// Defaults: large enough to amortize per-write costs, small enough that
-  /// a batch stays well below the default egress watermarks.
-  static constexpr std::size_t kDefaultEgressBatchFrames = 32;
-  static constexpr std::size_t kDefaultEgressBatchBytes = 32 * 1024;
-  /// `max_frames` <= 1 disables coalescing: every frame flushes on append,
-  /// one write per frame. `max_bytes` == 0 means no byte budget.
-  void set_egress_batching(std::size_t max_frames, std::size_t max_bytes);
+  /// Large enough to amortize per-write costs, small enough that a batch
+  /// stays well below the default egress watermarks.
+  static constexpr std::size_t kEgressBatchFrames = 32;
+  static constexpr std::size_t kEgressBatchBytes = 32 * 1024;
   /// How long a site may stay in the shedding regime without draining back
   /// to the low watermark before it is evicted. Zero disables.
   void set_stall_deadline(util::Duration deadline) {
@@ -583,8 +578,6 @@ class RouteServer {
   std::size_t egress_high_ = kDefaultEgressHigh;
   std::size_t egress_low_ = kDefaultEgressLow;
   std::size_t egress_hard_cap_ = kDefaultEgressHardCap;
-  std::size_t batch_max_frames_ = kDefaultEgressBatchFrames;
-  std::size_t batch_max_bytes_ = kDefaultEgressBatchBytes;
   /// Sites with an open egress batch, in first-frame order, deduplicated
   /// by Site::in_flush_list. Entries may be dead or already drained by
   /// flush time (flush_site discards / no-ops); Site objects stay alive

@@ -93,8 +93,8 @@ ShardedRouteServer::ShardedRouteServer(Options options)
     }
     shard->inbound.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
-      shard->inbound.push_back(std::make_unique<util::SpscRing<CrossShardFrame>>(
-          options_.wire_ring_capacity));
+      shard->inbound.push_back(
+          std::make_unique<util::SpscRing<CrossShardFrame>>(kWireRingCapacity));
     }
     shards_.push_back(std::move(shard));
   }

@@ -62,15 +62,14 @@ struct CrossShardFrame {
 
 class ShardedRouteServer {
  public:
-  static constexpr std::size_t kDefaultWireRingCapacity = 4096;
+  /// Slots per cross-shard wire ring.
+  static constexpr std::size_t kWireRingCapacity = 4096;
 
   struct Options {
     std::size_t shards = 1;
     /// Base seed for internally-owned shard schedulers (shard s gets
     /// derive_seed(seed, "shard<s>")).
     std::uint64_t seed = 1;
-    /// Slots per cross-shard wire ring (rounded up to a power of two).
-    std::size_t wire_ring_capacity = kDefaultWireRingCapacity;
     /// Virtual time each pump iteration advances a shard's scheduler.
     util::Duration pump_slice{util::Duration::microseconds(100)};
     /// Optional external schedulers, one per shard (sim benches own the

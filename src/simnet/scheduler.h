@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/rng.h"
@@ -64,10 +63,16 @@ class Scheduler {
     }
   };
 
+  /// Removes the earliest event from the heap and returns it, moving the
+  /// action out (a copy would clone the closure and everything it holds).
+  Event pop_earliest();
+
   std::uint64_t seed_ = 1;
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (std::push_heap/pop_heap): the earliest
+  /// (when, seq) sits at the front.
+  std::vector<Event> queue_;
   util::Rng rng_;
 };
 

@@ -77,29 +77,19 @@ std::uint64_t Tracer::head_sample() {
   return next_trace_id();
 }
 
-void Tracer::add_tail_histogram(const Histogram* hist) {
-  if (hist == nullptr) return;
-  std::lock_guard<std::mutex> lock(tail_set_->mutex);
-  for (const Histogram* existing : tail_set_->hists) {
-    if (existing == hist) return;
-  }
-  tail_set_->hists.push_back(hist);
-}
-
-void Tracer::remove_tail_histogram(const Histogram* hist) {
-  std::lock_guard<std::mutex> lock(tail_set_->mutex);
-  auto& hists = tail_set_->hists;
-  hists.erase(std::remove(hists.begin(), hists.end(), hist), hists.end());
-}
-
 Tracer::TailRegistration Tracer::register_tail_histogram(
     const Histogram* hist) {
-  add_tail_histogram(hist);
   TailRegistration registration;
-  if (hist != nullptr) {
-    registration.set_ = tail_set_;
-    registration.hist_ = hist;
+  if (hist == nullptr) return registration;
+  {
+    std::lock_guard<std::mutex> lock(tail_set_->mutex);
+    auto& hists = tail_set_->hists;
+    if (std::find(hists.begin(), hists.end(), hist) == hists.end()) {
+      hists.push_back(hist);
+    }
   }
+  registration.set_ = tail_set_;
+  registration.hist_ = hist;
   return registration;
 }
 

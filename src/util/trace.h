@@ -50,9 +50,9 @@ template <typename Concurrency>
 class BasicHistogram;
 using Histogram = BasicHistogram<StdConcurrency>;
 
-/// One-in-N sampling period shared by the RIS capture/replay stage clocks
-/// and the route server's stage clocks (README "knobs"). Power of two: all
-/// users gate with `(counter & (period - 1)) == 0`.
+/// One-in-N sampling period of the RIS capture/replay stage clocks (the
+/// route server times every frame). Power of two: the RIS gates with
+/// `(counter & (period - 1)) == 0`.
 constexpr std::uint32_t kDefaultStageSamplePeriod = 16;
 
 /// Default head-sampling period for the tracer. Deliberately sparser than
@@ -280,7 +280,7 @@ class Tracer {
 
   /// True when `forward_ns` exceeds the current p99 estimate of the
   /// process-wide forward-latency distribution: the caller's `hist` merged
-  /// with every histogram registered via add_tail_histogram. The estimate
+  /// with every histogram registered via register_tail_histogram. The estimate
   /// is cached and recomputed only every kTailRefreshPeriod calls (global,
   /// across shards); the gate stays closed until the merged distribution
   /// has kTailMinCount samples, so early frames do not all look "slow".
@@ -290,17 +290,13 @@ class Tracer {
   [[nodiscard]] bool tail_exceeds(const Histogram& hist,
                                   std::uint64_t forward_ns);
 
-  /// Register/deregister a histogram with the tail aggregation set.
-  /// RouteServer::set_tracer registers each shard's forward histogram; the
-  /// histogram must outlive its registration (remove on destruction).
-  void add_tail_histogram(const Histogram* hist);
-  void remove_tail_histogram(const Histogram* hist);
-
-  /// RAII form of the registration above for registrants whose destruction
-  /// order relative to the Tracer is not fixed (a RouteServer and its
-  /// tracer are often members of the same fixture, in either order). The
-  /// handle holds a weak reference to the tail set: destroying it after
-  /// the Tracer is gone is a no-op instead of a lock on a dead mutex.
+  /// Handle for a histogram in the tail aggregation set
+  /// (register_tail_histogram); destroying or resetting it deregisters.
+  /// RouteServer::set_tracer registers each shard's forward histogram,
+  /// which must outlive its registration. A RouteServer and its tracer are
+  /// often members of the same fixture, in either order, so the handle
+  /// holds a weak reference to the tail set: destroying it after the
+  /// Tracer is gone is a no-op instead of a lock on a dead mutex.
   class TailRegistration {
    public:
     TailRegistration() = default;

@@ -386,22 +386,30 @@ TEST(JournalPersistence, ReservationsSurviveServiceRestartViaJournal) {
   bed2.service().attach_store(nullptr);
 }
 
-TEST(JournalStore, KvInterfaceMatchesFileStoreSemantics) {
+TEST(JournalStore, KvInterfaceListsSortedKeysAndRejectsHostileOnes) {
   TempDir dir;
   JournalStore store(dir.path(), nullptr, no_fsync());
-  StoreErrorKind kind = StoreErrorKind::kNone;
-  EXPECT_FALSE(store.get("missing", &kind).ok());
-  EXPECT_EQ(kind, StoreErrorKind::kNotFound);
-  EXPECT_FALSE(store.put("../escape", Json(1)).ok());
-  EXPECT_FALSE(store.get("../escape", &kind).ok());
-  EXPECT_EQ(kind, StoreErrorKind::kInvalidKey);
-  ASSERT_TRUE(store.put("design/a/x", Json(1)).ok());
-  ASSERT_TRUE(store.put("design/a/y", Json(2)).ok());
-  ASSERT_TRUE(store.put("config/z", Json(3)).ok());
-  EXPECT_EQ(store.keys("design").size(), 2u);
-  EXPECT_TRUE(store.remove("design/a/x").ok());
-  EXPECT_FALSE(store.remove("design/a/x").ok());  // already gone
-  EXPECT_FALSE(store.contains("design/a/x"));
+  EXPECT_FALSE(store.get("missing").ok());
+  for (const char* key :
+       {"", "..", "a/../b", "a//b", "a/./b", "a b", "a\\b", "key\n",
+        "../escape"}) {
+    EXPECT_FALSE(store.put(key, Json(1)).ok()) << key;
+    EXPECT_FALSE(store.get(key).ok()) << key;
+  }
+  EXPECT_TRUE(JournalStore::valid_key("design/alice/my-lab_v2.1"));
+  ASSERT_TRUE(store.put("design/bob/b", Json(1)).ok());
+  ASSERT_TRUE(store.put("design/alice/a2", Json(2)).ok());
+  ASSERT_TRUE(store.put("design/alice/a1", Json(3)).ok());
+  ASSERT_TRUE(store.put("config/z", Json(4)).ok());
+  EXPECT_EQ(store.keys("design"),
+            (std::vector<std::string>{"design/alice/a1", "design/alice/a2",
+                                      "design/bob/b"}));
+  EXPECT_EQ(store.keys("design/alice").size(), 2u);
+  EXPECT_TRUE(store.keys("nothing").empty());
+  EXPECT_TRUE(store.remove("design/alice/a1").ok());
+  EXPECT_FALSE(store.remove("design/alice/a1").ok());  // already gone
+  EXPECT_FALSE(store.contains("design/alice/a1"));
+  EXPECT_FALSE(store.get("design/alice/a1").ok());
 }
 
 }  // namespace

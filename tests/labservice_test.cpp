@@ -397,5 +397,31 @@ TEST_F(ServiceFlow, NightlyTestHarnessReportsStepOutcomes) {
   EXPECT_NE(bad.summary().find("FAIL"), std::string::npos);
 }
 
+TEST_F(ServiceFlow, NightlyApiCallStepReportsTheCallsError) {
+  // §3.2: a nightly step can run any web-services call. An ok response
+  // passes the step; an error fails it and its message reaches the log.
+  DesignId design_id = bed.service().create_design("alice", "api-steps");
+  const wire::RouterId h1_id = bed.router_id("hq/h1");
+  util::Json add = util::Json::object();
+  add.set("design_id", design_id);
+  add.set("router_id", h1_id);
+  util::Json ghost = util::Json::object();
+  ghost.set("design_id", design_id + 100);
+  ghost.set("router_id", h1_id);
+
+  NightlyTest test(bed.api(), "api-steps");
+  test.api_call("add h1 to the design", "design.add_router", std::move(add))
+      .api_call("add h1 to a missing design", "design.add_router",
+                std::move(ghost));
+  TestReport report = test.run();
+  ASSERT_EQ(report.steps.size(), 2u);
+  EXPECT_TRUE(report.steps[0].passed) << report.steps[0].detail;
+  EXPECT_TRUE(bed.service().design(design_id)->has_router(h1_id));
+  EXPECT_FALSE(report.steps[1].passed);
+  EXPECT_EQ(report.steps[1].detail, "no such design");
+  EXPECT_EQ(report.failures(), 1u);
+  EXPECT_NE(report.summary().find("no such design"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace rnl::core

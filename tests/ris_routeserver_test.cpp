@@ -1096,7 +1096,6 @@ TEST_F(RnlStack, WatermarkCrossedMidFlushShedsWholeFramesOnly) {
   // frame that was accepted arrives whole — batching never splits a frame.
   server.set_egress_watermarks(8 * 1024, 2 * 1024);
   server.set_stall_deadline(util::Duration::seconds(60));
-  server.set_egress_batching(/*max_frames=*/64, /*max_bytes=*/64 * 1024);
   transport::SimLinkFault fault;
   join_with_fault(site1, fault);
   ASSERT_TRUE(site1.joined());
@@ -1146,7 +1145,6 @@ TEST_F(RnlStack, DeferredControlUnderBatchingFollowsParkedData) {
   // receiver sees whole frames in order.
   server.set_egress_watermarks(8 * 1024, 2 * 1024);
   server.set_stall_deadline(util::Duration::seconds(60));
-  server.set_egress_batching(/*max_frames=*/8, /*max_bytes=*/64 * 1024);
   transport::SimLinkFault fault;
   RawClient dst;
   raw_join(dst, "dst", &fault);
@@ -1313,43 +1311,13 @@ TEST_F(RnlStack, ControlResidueNeverReplaysAtTheHeadOfABatch) {
   EXPECT_FALSE(dst.decoder.failed());
 }
 
-TEST_F(RnlStack, UplinkRebatchAfterUnbatchedRunSendsNoStaleFrame) {
-  // Regression: an unbatched uplink send leaves its encoded frame in the
-  // RIS's reusable send buffer. Enabling batching afterwards must not
-  // replay it — the first batched flush would otherwise carry the previous
-  // data frame again and the server would route a duplicate.
-  join(site1);
-  join(site2);
-  ASSERT_TRUE(server
-                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
-                  .ok());
-  site1.set_uplink_batching(/*max_frames=*/1, /*max_bytes=*/0);
-  h1.ping(ip("10.0.0.2"), 3);
-  net.run_for(util::Duration::seconds(2));
-  ASSERT_EQ(h1.ping_replies().size(), 3u);
-
-  site1.set_uplink_batching(/*max_frames=*/32, /*max_bytes=*/16 * 1024);
-  h1.ping(ip("10.0.0.2"), 3);
-  net.run_for(util::Duration::seconds(2));
-  ASSERT_EQ(h1.ping_replies().size(), 6u);
-
-  // Every frame the server routed was captured by exactly one site: a
-  // stale-buffer replay would push frames_routed above the captured sum.
-  EXPECT_EQ(server.stats().frames_routed,
-            site1.stats().frames_up + site2.stats().frames_up);
-  EXPECT_EQ(server.stats().unrouted_drops, 0u);
-  EXPECT_EQ(server.stats().decode_errors, 0u);
-}
-
-TEST_F(RnlStack, EgressCapOneSendsEveryFrameInItsOwnWrite) {
-  // A frame cap of 1 takes the same append-and-flush path as batching: a
-  // four-frame decode batch leaves the server as four writes, each flush
-  // carrying one frame, nothing coalesced — and each traced frame gets its
-  // own egress_flush span, as any batch does.
+TEST_F(RnlStack, EgressBurstIsOneWriteAndOneFlushSpanForItsFirstTrace) {
+  // A four-frame decode batch of traced frames leaves the server as one
+  // write. Its single egress_flush span is attributed to the batch's first
+  // traced frame and carries the frame count.
   util::Tracer tracer;
   tracer.set_enabled(true);
   server.set_tracer(&tracer);
-  server.set_egress_batching(/*max_frames=*/1, /*max_bytes=*/0);
   RawClient dst;
   raw_join(dst, "dst", nullptr, &link_metrics);
   ASSERT_TRUE(dst.ack.has_value());
@@ -1387,27 +1355,27 @@ TEST_F(RnlStack, EgressCapOneSendsEveryFrameInItsOwnWrite) {
 
   ASSERT_EQ(dst.types.size(), 4u);
   EXPECT_EQ(link_metrics.counter("transport.sends").value() - sends_before,
-            4u);
-  EXPECT_EQ(dp.egress_flushes - flushes_before, 4u);
-  EXPECT_EQ(dp.frames_coalesced, coalesced_before);
-  EXPECT_EQ(batches.count() - batches_before, 4u);
-  EXPECT_EQ(batches.sum() - batched_frames_before, 4u);  // one frame each
+            1u);
+  EXPECT_EQ(dp.egress_flushes - flushes_before, 1u);
+  EXPECT_EQ(dp.frames_coalesced - coalesced_before, 3u);
+  EXPECT_EQ(batches.count() - batches_before, 1u);
+  EXPECT_EQ(batches.sum() - batched_frames_before, 4u);
   std::vector<std::string> flushed;
   const util::Json dump = tracer.to_json();
   for (const auto& e : dump["events"].as_array()) {
     if (e["stage"].as_string() != "egress_flush") continue;
-    EXPECT_EQ(e["arg"].as_int(), 1);  // frames in the flush
+    EXPECT_EQ(e["arg"].as_int(), 4);  // frames in the flush
     flushed.push_back(e["trace_id"].as_string());
   }
-  EXPECT_EQ(flushed,
-            (std::vector<std::string>{"0x1", "0x2", "0x3", "0x4"}));
+  EXPECT_EQ(flushed, (std::vector<std::string>{"0x1"}));
 }
 
-TEST_F(RnlStack, UplinkCapOneSendsEveryCapturedFrameInItsOwnWrite) {
-  // The RIS side of the same contract: at a frame cap of 1 each captured
-  // frame is one uplink flush and one transport write. Both ends run at
-  // cap 1 and keepalives are out of the window, so site1's link carries
-  // exactly its captured frames up and the replies down.
+TEST_F(RnlStack, UplinkFlushesEachLoneCapturedFrameInItsOwnWrite) {
+  // Ping traffic captures one frame per instant, so each captured frame is
+  // a batch of one: the end-of-burst task flushes it as one uplink flush
+  // and one transport write, nothing coalesced. Keepalives are out of the
+  // window, so site1's link carries exactly its captured frames up and the
+  // replies down.
   site1.set_keepalive_interval(util::Duration::seconds(3600));
   site2.set_keepalive_interval(util::Duration::seconds(3600));
   join(site1, {}, &link_metrics);
@@ -1415,8 +1383,6 @@ TEST_F(RnlStack, UplinkCapOneSendsEveryCapturedFrameInItsOwnWrite) {
   ASSERT_TRUE(server
                   .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
                   .ok());
-  server.set_egress_batching(/*max_frames=*/1, /*max_bytes=*/0);
-  site1.set_uplink_batching(/*max_frames=*/1, /*max_bytes=*/0);
   const ris::RisStats before = site1.stats();
   const std::uint64_t sends_before =
       link_metrics.counter("transport.sends").value();
@@ -1432,36 +1398,12 @@ TEST_F(RnlStack, UplinkCapOneSendsEveryCapturedFrameInItsOwnWrite) {
   EXPECT_EQ(after.frames_coalesced, before.frames_coalesced);
   EXPECT_EQ(link_metrics.counter("transport.sends").value() - sends_before,
             up + down);
-}
-
-TEST_F(RnlStack, UplinkCapOneArmsNoFlushTask) {
-  // Batching arms one zero-delay flush task per lone captured frame; at a
-  // frame cap of 1 the frame flushes on append, so the same traffic runs
-  // exactly that many fewer scheduler events.
-  site1.set_keepalive_interval(util::Duration::seconds(3600));
-  site2.set_keepalive_interval(util::Duration::seconds(3600));
-  join(site1);
-  join(site2);
-  ASSERT_TRUE(server
-                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
-                  .ok());
-  h1.ping(ip("10.0.0.2"), 3);  // warm up: ARP resolved before measuring
-  net.run_for(util::Duration::seconds(2));
-  ASSERT_EQ(h1.ping_replies().size(), 3u);
-
-  const std::uint64_t batched_up = site1.stats().frames_up;
-  h1.ping(ip("10.0.0.2"), 5);
-  const std::size_t batched_events = net.run_for(util::Duration::seconds(2));
-  const std::uint64_t frames = site1.stats().frames_up - batched_up;
-  ASSERT_EQ(h1.ping_replies().size(), 8u);
-
-  site1.set_uplink_batching(/*max_frames=*/1, /*max_bytes=*/0);
-  const std::uint64_t capped_up = site1.stats().frames_up;
-  h1.ping(ip("10.0.0.2"), 5);
-  const std::size_t capped_events = net.run_for(util::Duration::seconds(2));
-  ASSERT_EQ(h1.ping_replies().size(), 13u);
-  ASSERT_EQ(site1.stats().frames_up - capped_up, frames);
-  EXPECT_EQ(batched_events - capped_events, frames);
+  // Every frame the server routed was captured by exactly one site: a
+  // frame re-sent from a stale send buffer would push frames_routed above
+  // the captured sum.
+  EXPECT_EQ(server.stats().frames_routed,
+            site1.stats().frames_up + site2.stats().frames_up);
+  EXPECT_EQ(server.stats().unrouted_drops, 0u);
 }
 
 TEST_F(RnlStack, ShedDataFramesPreserveCompressionLockstep) {

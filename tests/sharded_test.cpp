@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "devices/host.h"
+#include "devices/traffgen.h"
 #include "ris/ris.h"
 #include "simnet/network.h"
 #include "transport/sim_stream.h"
@@ -206,15 +207,13 @@ class ShardedStack : public ::testing::Test {
   }
 
   static ShardedRouteServer::Options make_options(simnet::Network& net,
-                                                  std::size_t shards,
-                                                  std::size_t ring = 0) {
+                                                  std::size_t shards) {
     ShardedRouteServer::Options options;
     options.shards = shards;
     // Every shard runs on the shared sim scheduler: cooperative mode is
     // single-threaded, so the SPSC contract trivially holds and the test
     // stays deterministic.
     options.schedulers.assign(shards, &net.scheduler());
-    if (ring != 0) options.wire_ring_capacity = ring;
     return options;
   }
 
@@ -340,37 +339,34 @@ TEST_F(ShardedStack, ConnectPortsRejectsUnknownAndSelfPairs) {
 }
 
 TEST_F(ShardedStack, FullWireRingDropsFramesLikeACongestedLink) {
-  // Rebuild with a 2-slot ring and never pump between pings: the producer
-  // shard keeps forwarding while nobody drains, so the ring must shed.
-  ShardedRouteServer tiny(make_options(net, 2, /*ring=*/2));
-  auto join_tiny = [&](std::size_t shard, ris::RouterInterface& site) {
-    auto [ris_end, server_end] =
-        transport::make_sim_stream_pair(net.scheduler());
-    tiny.accept(shard, std::move(server_end));
-    site.join(std::move(ris_end));
-    net.run_for(util::Duration::milliseconds(500));
-    tiny.pump_all();
-  };
-  join_tiny(0, site1);
-  join_tiny(1, site2);
-  auto port_of_tiny = [&](const std::string& name) -> wire::PortId {
-    for (const auto& router : tiny.inventory()) {
-      if (router.name == name) return router.ports.at(0).id;
-    }
-    return 0;
-  };
-  ASSERT_TRUE(tiny.connect_ports(port_of_tiny("us-west/h1"),
-                                 port_of_tiny("eu-central/h2"))
-                  .ok());
-  h1.ping(ip("10.0.0.2"), 8);
-  net.run_for(util::Duration::seconds(2));  // no pump_all: the ring fills
-  EXPECT_GT(tiny.cross_shard_ring_drops(), 0u);
-  // Draining recovers the queued frames; the dropped ones stay dropped.
-  for (int i = 0; i < 20; ++i) {
-    net.run_for(util::Duration::milliseconds(50));
-    tiny.pump_all();
-  }
-  EXPECT_LT(h1.ping_replies().size(), 8u);
+  // A traffic-generator burst larger than the ring, with no pump while it
+  // crosses: the producer shard keeps forwarding while nobody drains, so
+  // the ring fills to its capacity and drops the rest.
+  constexpr std::size_t kRing = ShardedRouteServer::kWireRingCapacity;
+  constexpr std::uint32_t kBurst = kRing + 1000;
+  devices::TrafficGenerator tx(net, "tx", 1);
+  devices::TrafficGenerator rx(net, "rx", 1);
+  rx.set_count_only(true);
+  site1.map_port(site1.add_router(&tx, "generator", "ixia.png"), 0, "port1");
+  site2.map_port(site2.add_router(&rx, "analyzer", "ixia.png"), 0, "port1");
+  join_on(0, site1);
+  join_on(1, site2);
+  ASSERT_TRUE(
+      server.connect_ports(port_of("us-west/tx"), port_of("eu-central/rx"))
+          .ok());
+  devices::TrafficGenerator::Stream stream;
+  stream.template_frame = util::Bytes(64, 0x5A);
+  stream.count = kBurst;
+  stream.burst = kBurst;
+  tx.start_stream(0, stream);
+  net.run_for(util::Duration::seconds(1));  // no pump_all: the ring fills
+  EXPECT_EQ(server.cross_shard_ring_drops(), kBurst - kRing);
+  // Draining delivers exactly the queued frames; the dropped ones stay
+  // dropped.
+  settle();
+  EXPECT_EQ(server.stats().cross_shard_frames_in, kRing);
+  EXPECT_GT(rx.rx_count(0), 0u);
+  EXPECT_LT(rx.rx_count(0), kBurst);
 }
 
 TEST_F(ShardedStack, DispatchSniffsTheJoinAndPlacesByHash) {

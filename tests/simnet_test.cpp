@@ -59,6 +59,36 @@ TEST(Scheduler, PastEventsClampToNow) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Scheduler, DispatchMovesTheActionInsteadOfCopyingIt) {
+  // A copied std::function clones its closure: a SimStream delivery would
+  // copy its whole chunk, a Netem hand-off its whole frame. Moves are free.
+  struct CopyCounter {
+    int* copies;
+    explicit CopyCounter(int* out) : copies(out) {}
+    CopyCounter(const CopyCounter& other) : copies(other.copies) {
+      ++*copies;
+    }
+    CopyCounter(CopyCounter&&) noexcept = default;
+    CopyCounter& operator=(const CopyCounter&) = delete;
+    CopyCounter& operator=(CopyCounter&&) = delete;
+  };
+  Scheduler sched;
+  int copies = 0;
+  int fired = 0;
+  // Several events in reverse time order, so the heap reorders them too.
+  for (int i = 0; i < 8; ++i) {
+    sched.schedule_after(util::Duration::seconds(8 - i),
+                         [counter = CopyCounter(&copies), &fired] {
+                           (void)counter;
+                           ++fired;
+                         });
+  }
+  sched.run_for(util::Duration::seconds(4));
+  sched.run_all();
+  EXPECT_EQ(fired, 8);
+  EXPECT_EQ(copies, 0);
+}
+
 class CableTest : public ::testing::Test {
  protected:
   Network net{42};

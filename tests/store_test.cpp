@@ -1,12 +1,12 @@
-// Tests for the file-backed store and LabService persistence.
+// LabService persistence: designs and archived configs written through the
+// journal survive a service restart.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
-#include "core/store.h"
+#include "core/journal.h"
 #include "core/testbed.h"
 
 namespace rnl::core {
@@ -33,121 +33,9 @@ class TempDir {
   std::string path_;
 };
 
-TEST(FileStoreTest, PutGetRoundTrip) {
-  TempDir dir;
-  FileStore store(dir.path() + "/data");
-  util::Json value = util::Json::object();
-  value.set("answer", 42);
-  ASSERT_TRUE(store.put("design/alice/lab1", value).ok());
-  ASSERT_TRUE(store.contains("design/alice/lab1"));
-  auto back = store.get("design/alice/lab1");
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ((*back)["answer"].as_int(), 42);
-}
-
-TEST(FileStoreTest, OverwriteReplacesContent) {
-  TempDir dir;
-  FileStore store(dir.path());
-  ASSERT_TRUE(store.put("k", util::Json(1)).ok());
-  ASSERT_TRUE(store.put("k", util::Json(2)).ok());
-  EXPECT_EQ(store.get("k")->as_int(), 2);
-}
-
-TEST(FileStoreTest, KeysListsByPrefixSorted) {
-  TempDir dir;
-  FileStore store(dir.path());
-  store.put("design/bob/b", util::Json(1));
-  store.put("design/alice/a2", util::Json(1));
-  store.put("design/alice/a1", util::Json(1));
-  store.put("config/hq/r1", util::Json(1));
-  auto all_designs = store.keys("design");
-  ASSERT_EQ(all_designs.size(), 3u);
-  EXPECT_EQ(all_designs[0], "design/alice/a1");
-  EXPECT_EQ(all_designs[2], "design/bob/b");
-  EXPECT_EQ(store.keys("design/alice").size(), 2u);
-  EXPECT_TRUE(store.keys("nothing").empty());
-}
-
-TEST(FileStoreTest, RemoveDeletes) {
-  TempDir dir;
-  FileStore store(dir.path());
-  store.put("k", util::Json(1));
-  ASSERT_TRUE(store.remove("k").ok());
-  EXPECT_FALSE(store.contains("k"));
-  EXPECT_FALSE(store.remove("k").ok());
-  EXPECT_FALSE(store.get("k").ok());
-}
-
-TEST(FileStoreTest, RejectsHostileKeys) {
-  TempDir dir;
-  FileStore store(dir.path());
-  for (const char* key :
-       {"", "..", "a/../b", "a//b", "a/./b", "a b", "a\\b", "key\n"}) {
-    EXPECT_FALSE(store.put(key, util::Json(1)).ok()) << key;
-    EXPECT_FALSE(store.get(key).ok()) << key;
-  }
-  EXPECT_TRUE(FileStore::valid_key("design/alice/my-lab_v2.1"));
-}
-
-TEST(FileStoreTest, SurvivesReopen) {
-  TempDir dir;
-  {
-    FileStore store(dir.path());
-    store.put("design/a/x", util::Json("persisted"));
-  }
-  FileStore reopened(dir.path());
-  EXPECT_EQ(reopened.get("design/a/x")->as_string(), "persisted");
-}
-
-TEST(FileStoreTest, GetReportsTypedErrorKinds) {
-  TempDir dir;
-  FileStore store(dir.path());
-  StoreErrorKind kind = StoreErrorKind::kNone;
-  EXPECT_FALSE(store.get("missing", &kind).ok());
-  EXPECT_EQ(kind, StoreErrorKind::kNotFound);
-  EXPECT_FALSE(store.get("../../etc/passwd", &kind).ok());
-  EXPECT_EQ(kind, StoreErrorKind::kInvalidKey);
-  // A document whose bytes no longer parse is kCorrupt, not kNotFound —
-  // callers must be able to tell "never existed" from "rotted on disk".
-  ASSERT_TRUE(store.put("doc", util::Json(1)).ok());
-  {
-    std::ofstream out(dir.path() + "/doc.json",
-                      std::ios::binary | std::ios::trunc);
-    out << "{not json";
-  }
-  EXPECT_FALSE(store.get("doc", &kind).ok());
-  EXPECT_EQ(kind, StoreErrorKind::kCorrupt);
-  ASSERT_TRUE(store.put("fine", util::Json(2)).ok());
-  EXPECT_EQ(store.get("fine", &kind)->as_int(), 2);
-  EXPECT_EQ(kind, StoreErrorKind::kNone);
-}
-
-TEST(FileStoreTest, PutIsAtomicNoTempFileSurvivesAndReopenSeesDoc) {
-  // The durable put goes through temp + rename + fsync; a finished put must
-  // leave exactly the final document (no .tmp droppings a crashed writer
-  // would have orphaned), and a reopened store reads it back.
-  TempDir dir;
-  {
-    FileStore store(dir.path());
-    util::Json value = util::Json::object();
-    value.set("generation", 3);
-    ASSERT_TRUE(store.put("design/alice/lab", value).ok());
-  }
-  std::size_t files = 0;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(dir.path())) {
-    if (!entry.is_regular_file()) continue;
-    ++files;
-    EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
-  }
-  EXPECT_EQ(files, 1u);
-  FileStore reopened(dir.path());
-  EXPECT_EQ((*reopened.get("design/alice/lab"))["generation"].as_int(), 3);
-}
-
 TEST(Persistence, DesignsSurviveServiceRestart) {
   TempDir dir;
-  FileStore store(dir.path());
+  JournalStore store(dir.path());
   wire::RouterId router_id = 0;
   {
     Testbed bed(1401, wire::NetemProfile::lan());
@@ -173,7 +61,7 @@ TEST(Persistence, DesignsSurviveServiceRestart) {
 
 TEST(Persistence, ConfigArchiveSurvivesRestartByName) {
   TempDir dir;
-  FileStore store(dir.path());
+  JournalStore store(dir.path());
   {
     Testbed bed(1403, wire::NetemProfile::lan());
     auto& site = bed.add_site("hq");

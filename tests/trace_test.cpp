@@ -229,8 +229,8 @@ TEST(Tracer, TailThresholdAggregatesAcrossRegisteredShardHistograms) {
   tracer.set_enabled(true);
   Histogram a;
   Histogram b;
-  tracer.add_tail_histogram(&a);
-  tracer.add_tail_histogram(&b);
+  Tracer::TailRegistration reg_a = tracer.register_tail_histogram(&a);
+  Tracer::TailRegistration reg_b = tracer.register_tail_histogram(&b);
   for (int i = 0; i < 512; ++i) a.record(1'000);
   for (int i = 0; i < 512; ++i) b.record(1'000'000);
   for (std::uint64_t i = 0; i <= Tracer::kTailRefreshPeriod; ++i) {
@@ -241,7 +241,7 @@ TEST(Tracer, TailThresholdAggregatesAcrossRegisteredShardHistograms) {
   EXPECT_FALSE(tracer.tail_exceeds(b, 500'000));  // normal for shard b
   EXPECT_TRUE(tracer.tail_exceeds(a, 1'000'000'000));
   // Dropping b (its shard shut down) re-tightens the merged threshold.
-  tracer.remove_tail_histogram(&b);
+  reg_b.reset();
   for (std::uint64_t i = 0; i <= Tracer::kTailRefreshPeriod; ++i) {
     (void)tracer.tail_exceeds(a, 1'000);
   }
@@ -251,8 +251,8 @@ TEST(Tracer, TailThresholdAggregatesAcrossRegisteredShardHistograms) {
 }
 
 TEST(Tracer, TailRegistrationIsSafeInEitherDestructionOrder) {
-  // Regression: RouteServer's destructor used to call
-  // remove_tail_histogram() on its tracer unconditionally. A fixture that
+  // Regression: RouteServer's destructor used to deregister its forward
+  // histogram from its tracer unconditionally. A fixture that
   // declares the tracer after the server destroys the tracer first, and
   // the unregister locked a destroyed mutex (garbage memory decides
   // between a futex hang and a pthread assertion — and a zeroed heap page

@@ -4,6 +4,7 @@
 
 #include "core/testbed.h"
 #include "core/webui.h"
+#include "util/strings.h"
 
 namespace rnl::core {
 namespace {
@@ -176,6 +177,37 @@ TEST_F(WebUiFixture, TwoTabsTwoUsersNoInterference) {
                    .reserve("bob", {bed.router_id("hq/h1")}, now,
                             now + Duration::minutes(30))
                    .ok());
+}
+
+TEST_F(WebUiFixture, MetricsPageRendersCountersAndHistogramPercentiles) {
+  ASSERT_TRUE(bed.server()
+                  .connect_ports(bed.port_id("hq/h1", "eth0"),
+                                 bed.port_id("hq/h2", "eth0"))
+                  .ok());
+  h1->ping(ip("10.0.0.2"), 5);
+  bed.net().run_for(Duration::seconds(1));
+  ASSERT_EQ(h1->ping_replies().size(), 5u);
+
+  const std::uint64_t routed = bed.server().stats().frames_routed;
+  const util::Histogram& forward =
+      bed.server().metrics().histogram("routeserver.forward_ns");
+  ASSERT_GT(routed, 0u);
+  ASSERT_GT(forward.count(), 0u);
+
+  WebUiSession ui(bed.service(), "alice");
+  const std::string page = ui.render_metrics();
+  EXPECT_NE(page.find(util::format(
+                "  %-44s %llu\n", "routeserver.frames_routed",
+                static_cast<unsigned long long>(routed))),
+            std::string::npos)
+      << page;
+  EXPECT_NE(page.find(util::format(
+                "  %-44s %llu / %llu / %llu\n", "routeserver.forward_ns",
+                static_cast<unsigned long long>(forward.count()),
+                static_cast<unsigned long long>(forward.percentile(50)),
+                static_cast<unsigned long long>(forward.percentile(99)))),
+            std::string::npos)
+      << page;
 }
 
 }  // namespace
