@@ -36,8 +36,9 @@
 #              surface under ThreadSanitizer: the metrics registry contract
 #              tests, the logger threshold-retune test, the transport
 #              egress accounting paths (watermarks, drain callbacks), the
-#              cross-shard SPSC wire rings, and the threaded sharded
-#              route-server lifecycle (kill/rejoin + concurrent snapshots).
+#              cross-shard SPSC wire rings and their recycled buffers, and
+#              the threaded sharded route-server lifecycle (kill/rejoin +
+#              concurrent snapshots).
 #   --bench    shard-scaling bench smoke: run bench_routeserver_scaling in
 #              --quick mode and assert that every sharded row, from 1 shard
 #              (the central funnel) up to one shard per user, drove the
@@ -51,8 +52,9 @@
 #              lock.
 #   --model    deterministic model-check gate: re-run the modelcheck ctests
 #              (bounded-exhaustive schedule exploration of the SPSC wire
-#              ring, seqlock SpanRing, posted-command teardown, and metrics
-#              hot path, ≥10k interleavings each) from the plain build.
+#              ring, the recycled wire-buffer round trip, seqlock SpanRing,
+#              posted-command teardown, and metrics hot path, ≥10k
+#              interleavings each) from the plain build.
 #   --all      convenience: run every gate above, so pre-merge runs stop
 #              hand-enumerating flags.
 #   --soak     fleet-scale chaos soak (E14): run bench_fleet --quick at a
@@ -319,8 +321,9 @@ if [[ "$tsan" == 1 ]]; then
   ./build-tsan/tests/transport_test \
     --gtest_filter='TcpLoopback.*Egress*:TcpLoopback.LargeWriteBuffersAndDrains:SimStream.*Watermark*:SimStream.*Stall*'
   # Sharded route server: the SPSC wire rings under a producer/consumer
-  # hammer and the full threaded lifecycle (start, cross-shard kill/rejoin
-  # while another thread snapshots metrics, stop-time drain).
+  # hammer, wire buffers recycled between two shard threads, and the full
+  # threaded lifecycle (start, cross-shard kill/rejoin while another
+  # thread snapshots metrics, stop-time drain).
   ./build-tsan/tests/sharded_test \
     --gtest_filter='SpscRing.*:ShardedThreaded.*'
 fi

@@ -232,7 +232,7 @@ class FleetSoak {
       const auto next = static_cast<std::uint32_t>(event["next"].as_int());
       if (next > slot) slot = next;
     };
-    store_->register_stream("epochs", std::move(hooks));
+    epoch_stream_ = store_->register_stream("epochs", std::move(hooks));
   }
 
   /// One server generation: recover the journal, raise the sharded server
@@ -732,6 +732,8 @@ class FleetSoak {
   // The current server generation; rebuilt by restart_server. Declared
   // after the sites so a generation never outlives a transport peer.
   std::unique_ptr<JournalStore> store_;
+  // The "epochs" stream in store_; its hooks read epochs_.
+  JournalStore::StreamRegistration epoch_stream_;
   std::unique_ptr<routeserver::ShardedRouteServer> server_;
   std::unique_ptr<LabService> service_;
   std::unique_ptr<ApiServer> api_;

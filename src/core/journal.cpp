@@ -92,6 +92,7 @@ JournalStore::JournalStore(std::string root, util::MetricsRegistry* metrics,
 }
 
 JournalStore::~JournalStore() {
+  *self_ = nullptr;
   if (log_fd_ >= 0) ::close(log_fd_);
   if (metrics_ != nullptr) metrics_->remove_prefix("store.");
 }
@@ -299,7 +300,8 @@ util::Json JournalStore::snapshot_json() const {
     entry.set("tail", util::Json::array());
     streams.set(kKvStream, std::move(entry));
   }
-  for (const auto& [name, hooks] : streams_) {
+  for (const auto& [name, stream] : streams_) {
+    const StreamHooks& hooks = stream.hooks;
     util::Json entry = util::Json::object();
     entry.set("state", hooks.state ? hooks.state() : util::Json());
     entry.set("tail", util::Json::array());
@@ -347,7 +349,8 @@ util::Status JournalStore::compact() {
   return open_log_for_append();
 }
 
-void JournalStore::register_stream(const std::string& name, StreamHooks hooks) {
+JournalStore::StreamRegistration JournalStore::register_stream(
+    const std::string& name, StreamHooks hooks) {
   auto pending = pending_.find(name);
   if (pending != pending_.end()) {
     if (pending->second.has_state && hooks.restore) {
@@ -358,7 +361,49 @@ void JournalStore::register_stream(const std::string& name, StreamHooks hooks) {
     }
     pending_.erase(pending);
   }
-  streams_[name] = std::move(hooks);
+  const std::uint64_t id = next_registration_id_++;
+  streams_[name] = RegisteredStream{std::move(hooks), id};
+  return StreamRegistration(self_, name, id);
+}
+
+void JournalStore::release_stream(const std::string& name, std::uint64_t id) {
+  auto it = streams_.find(name);
+  if (it == streams_.end() || it->second.id != id) return;  // replaced
+  PendingStream frozen;
+  if (it->second.hooks.state) {
+    frozen.state = it->second.hooks.state();
+    frozen.has_state = true;
+  }
+  streams_.erase(it);
+  pending_[name] = std::move(frozen);
+}
+
+JournalStore::StreamRegistration::StreamRegistration(
+    StreamRegistration&& other) noexcept
+    : store_(std::move(other.store_)),
+      name_(std::move(other.name_)),
+      id_(other.id_) {
+  other.id_ = 0;
+}
+
+JournalStore::StreamRegistration& JournalStore::StreamRegistration::operator=(
+    StreamRegistration&& other) noexcept {
+  if (this != &other) {
+    reset();
+    store_ = std::move(other.store_);
+    name_ = std::move(other.name_);
+    id_ = other.id_;
+    other.id_ = 0;
+  }
+  return *this;
+}
+
+void JournalStore::StreamRegistration::reset() {
+  if (store_ != nullptr && *store_ != nullptr) {
+    (*store_)->release_stream(name_, id_);
+  }
+  store_.reset();
+  id_ = 0;
 }
 
 util::Status JournalStore::append(const std::string& stream,

@@ -34,11 +34,13 @@
 // register named event streams with three hooks — a `state` reducer used at
 // compaction, `restore` for snapshot state, `apply` for tail events — so
 // components like the reservation calendar journal mutations instead of
-// serializing themselves wholesale on every change.
+// serializing themselves wholesale on every change. A stream stays
+// registered while its StreamRegistration lives.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,10 +151,41 @@ class JournalStore {
   /// [A-Za-z0-9._-] (and '.' segments like ".." are rejected outright).
   static bool valid_key(const std::string& key);
 
+  /// Keeps one stream's hooks registered while it lives (move-only).
+  /// Destroying or reset()ting it releases the stream: the store freezes
+  /// the stream's current state() as if recovered but not yet registered,
+  /// so the next snapshot and the next register_stream still carry it and
+  /// the hooks are never called again. Safe to destroy before or after the
+  /// store: once the store is gone, releasing does nothing.
+  class StreamRegistration {
+   public:
+    StreamRegistration() = default;
+    StreamRegistration(const StreamRegistration&) = delete;
+    StreamRegistration& operator=(const StreamRegistration&) = delete;
+    StreamRegistration(StreamRegistration&& other) noexcept;
+    StreamRegistration& operator=(StreamRegistration&& other) noexcept;
+    ~StreamRegistration() { reset(); }
+    /// Release now (no-op if empty or the store already died).
+    void reset();
+
+   private:
+    friend class JournalStore;
+    StreamRegistration(std::shared_ptr<JournalStore*> store, std::string name,
+                       std::uint64_t id)
+        : store_(std::move(store)), name_(std::move(name)), id_(id) {}
+
+    std::shared_ptr<JournalStore*> store_;
+    std::string name_;
+    std::uint64_t id_ = 0;
+  };
+
   /// Registers an event stream. If recovery already replayed state for
-  /// this stream (snapshot and/or tail events), the hooks are fed it
-  /// immediately: restore(snapshot) then apply(event) per tail event.
-  void register_stream(const std::string& name, StreamHooks hooks);
+  /// this stream (snapshot and/or tail events), or a released registration
+  /// froze it, the hooks are fed it immediately: restore(snapshot) then
+  /// apply(event) per tail event. A second registration of the same name
+  /// replaces the first, whose release then does nothing.
+  [[nodiscard]] StreamRegistration register_stream(const std::string& name,
+                                                   StreamHooks hooks);
 
   /// Journals one event for `stream`. The caller's in-memory state is the
   /// source of truth; the event must already have been applied to it.
@@ -177,6 +210,12 @@ class JournalStore {
     bool has_state = false;
     std::vector<util::Json> tail;      // replayed tail events
   };
+  struct RegisteredStream {
+    StreamHooks hooks;
+    std::uint64_t id = 0;  // which StreamRegistration owns the hooks
+  };
+
+  void release_stream(const std::string& name, std::uint64_t id);
 
   void recover();
   void apply_kv_event(const util::Json& event);
@@ -193,8 +232,12 @@ class JournalStore {
   JournalStats stats_;
 
   std::map<std::string, util::Json> kv_;
-  std::map<std::string, StreamHooks> streams_;
+  std::map<std::string, RegisteredStream> streams_;
   std::map<std::string, PendingStream> pending_;
+  std::uint64_t next_registration_id_ = 1;
+  /// Points at this store until it is destroyed; every StreamRegistration
+  /// shares it, so a registration that outlives the store sees nullptr.
+  std::shared_ptr<JournalStore*> self_ = std::make_shared<JournalStore*>(this);
 
   std::uint64_t seq_ = 0;
   std::uint64_t snapshot_seq_ = 0;

@@ -57,7 +57,10 @@ LabService::LabService(simnet::Network& net, routeserver::RouteServer& server)
   net_.scheduler().schedule_after(util::Duration::minutes(1), *sweep);
 }
 
-LabService::~LabService() = default;
+LabService::~LabService() {
+  // Release the reservations stream while the calendar it reads is alive.
+  reservations_stream_.reset();
+}
 
 // ---------------------------------------------------------------------------
 // Inventory
@@ -350,11 +353,12 @@ std::optional<std::string> LabService::archived_config(
 }
 
 void LabService::attach_store(JournalStore* store) {
+  // Detach from the previous store first: its reservations stream keeps
+  // the calendar's state, but no hook pointing at this service.
+  calendar_.set_mutation_observer(nullptr);
+  reservations_stream_.reset();
   store_ = store;
-  if (store_ == nullptr) {
-    calendar_.set_mutation_observer(nullptr);
-    return;
-  }
+  if (store_ == nullptr) return;
   for (const auto& key : store_->keys("design")) {
     auto json = store_->get(key);
     if (json.ok()) {
@@ -365,7 +369,7 @@ void LabService::attach_store(JournalStore* store) {
   // The calendar journals its mutations instead of being rewritten
   // wholesale. register_stream replays any recovered snapshot + tail into
   // the calendar immediately.
-  store_->register_stream(
+  reservations_stream_ = store_->register_stream(
       "reservations",
       JournalStore::StreamHooks{
           [this] { return calendar_.to_json(); },

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/design.h"
+#include "core/journal.h"
 #include "core/reservation.h"
 #include "routeserver/routeserver.h"
 #include "simnet/network.h"
@@ -29,8 +30,6 @@ namespace rnl::core {
 
 using DesignId = std::uint64_t;
 using DeploymentId = std::uint64_t;
-
-class JournalStore;
 
 struct Deployment {
   DeploymentId id = 0;
@@ -167,6 +166,8 @@ class LabService {
   std::map<wire::RouterId, std::string> config_archive_;
   std::map<std::string, wire::Layer1Switch*> layer1_switches_;
   JournalStore* store_ = nullptr;
+  // The calendar's "reservations" stream in store_ (empty when detached).
+  JournalStore::StreamRegistration reservations_stream_;
   DesignId next_design_id_ = 1;
   DeploymentId next_deployment_id_ = 1;
   // Keeps the periodic expiry sweep alive; destroying the service stops it.

@@ -623,11 +623,14 @@ void RouterInterface::on_nic_frame(std::size_t router_index,
   if (mapped.assigned_id == 0) return;  // not yet acked / not in any slice
 
   // Logical-router demultiplexing: if the port belongs to a slice, the
-  // frame is attributed to the slice's router id (§4).
+  // frame is attributed to the slice's router id (§4). A site that declared
+  // no slices skips the lookup.
   wire::RouterId router_id = router.assigned_id;
-  auto slice = slice_owner_.find({router_index, port_slot});
-  if (slice != slice_owner_.end()) {
-    router_id = routers_[slice->second].assigned_id;
+  if (!slice_owner_.empty()) {
+    auto slice = slice_owner_.find({router_index, port_slot});
+    if (slice != slice_owner_.end()) {
+      router_id = routers_[slice->second].assigned_id;
+    }
   }
 
   ++stats_.frames_up;

@@ -814,13 +814,15 @@ void RouteServer::handle_data(Site* site,
 }
 
 void RouteServer::deliver_remote(wire::PortId port, util::BytesView frame,
-                                 std::uint64_t trace_id) {
+                                 std::uint64_t trace_id, bool copy_allocated) {
   RNL_DCHECK(on_owner_thread());
   ++stats_.cross_shard_frames_in;
-  // Slow path by definition: the frame was copied through the ring, so the
-  // zero-copy accounting does not apply. The drain loop batches flushes
+  // The ring copy went into a recycled buffer; it is a slow-path frame only
+  // when that copy had to allocate. The drain loop batches flushes
   // (flush_egress once per burst), matching the decode loop's cadence.
-  deliver_to_port(port, frame, /*slow=*/true, trace_id);
+  stats_.dataplane.bytes_copied += frame.size();
+  if (copy_allocated) ++stats_.dataplane.payload_allocs;
+  deliver_to_port(port, frame, /*slow=*/copy_allocated, trace_id);
 }
 
 void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,

@@ -73,18 +73,20 @@ struct CapturedFrame {
 
 /// Per-frame fast-path observability. "Fast path" means a raw (uncompressed)
 /// frame that was forwarded with no capture active and zero heap allocations:
-/// decoded as a view into the connection buffer, serialized straight into the
-/// owning site's reusable send buffer. Every frame that had to allocate —
-/// decompression, compression, a growing send buffer, an impaired wire, a
-/// running capture — is a slow-path frame.
+/// decoded as a view into the received bytes, serialized straight into the
+/// owning site's reusable send buffer (a cross-shard frame also passes
+/// through a recycled ring buffer). Every frame that had to allocate —
+/// decompression, compression, a growing send buffer or ring buffer, an
+/// impaired wire, a running capture — is a slow-path frame.
 struct DataPlaneStats {
   std::uint64_t fast_path_frames = 0;
   std::uint64_t slow_path_frames = 0;
   /// Heap allocations observed on the per-frame path (send-buffer growth,
   /// (de)compression output buffers). Zero in steady state.
   std::uint64_t payload_allocs = 0;
-  /// Payload bytes memcpy'd into send buffers (the one copy that remains:
-  /// framing the payload behind its header for the transport).
+  /// Payload bytes memcpy'd into send buffers (the one copy a frame always
+  /// takes: framing the payload behind its header for the transport), plus
+  /// the copy of each cross-shard frame into its ring buffer.
   std::uint64_t bytes_copied = 0;
   /// Egress coalescing: transport writes that carried at least one data
   /// frame. Several forwarded frames share one write; frames_coalesced
@@ -185,8 +187,8 @@ class RouteServer {
   /// Invoked when a frame is routed into a cross-shard wire end: the
   /// destination port (already the *peer* port id, owned by another
   /// shard), the frame bytes (valid only for the call), and the frame's
-  /// trace id (0 untraced). The handler copies into the SPSC ring toward
-  /// the owning shard.
+  /// trace id (0 untraced). The handler copies the bytes into a recycled
+  /// buffer and pushes it into the SPSC ring toward the owning shard.
   using RemoteDeliverHandler =
       std::function<void(wire::PortId, util::BytesView, std::uint64_t)>;
   /// Invoked after this server tears down its end of a cross-shard wire
@@ -209,10 +211,12 @@ class RouteServer {
   void clear_remote_wire_end(wire::PortId local);
 
   /// Delivers a frame that crossed shards into `port` (the receiving
-  /// shard's drain loop calls this for every ring pop). Slow path by
-  /// definition; the caller flushes once per drain burst via flush_egress.
+  /// shard's drain loop calls this for every ring pop). The frame's copy
+  /// into the ring is booked here: its bytes in bytes_copied, and, when
+  /// `copy_allocated`, one payload allocation and a slow-path frame. The
+  /// caller flushes once per drain burst via flush_egress.
   void deliver_remote(wire::PortId port, util::BytesView frame,
-                      std::uint64_t trace_id = 0);
+                      std::uint64_t trace_id, bool copy_allocated);
   /// Public end-of-burst flush for external delivery loops (ring drains).
   void flush_egress() { flush_pending(); }
   [[nodiscard]] std::size_t remote_wire_ends() const {

@@ -93,22 +93,26 @@ ShardedRouteServer::ShardedRouteServer(Options options)
     }
     shard->inbound.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
-      shard->inbound.push_back(
-          std::make_unique<util::SpscRing<CrossShardFrame>>(kWireRingCapacity));
+      shard->inbound.push_back(std::make_unique<WireRing>());
     }
     shards_.push_back(std::move(shard));
   }
   // Wire the cross-shard handlers. The deliver handler runs on shard s's
   // thread (inside its forwarding path), so pushing into inbound[s] of the
-  // destination preserves the one-producer-one-consumer contract.
+  // destination, and popping that wire's spares, preserves the
+  // one-producer-one-consumer contract of both rings.
   for (std::size_t s = 0; s < n; ++s) {
     shards_[s]->server->set_remote_wire_handlers(
         [this, s](wire::PortId dst, util::BytesView frame,
                   std::uint64_t trace_id) {
-          const std::size_t d = shard_of_port(dst);
-          shards_[d]->inbound[s]->push(
-              CrossShardFrame{dst, trace_id,
-                              util::Bytes(frame.begin(), frame.end())});
+          WireRing& link = *shards_[shard_of_port(dst)]->inbound[s];
+          CrossShardFrame out{.dst_port = dst, .trace_id = trace_id};
+          // A buffer the consumer sent back, or none yet (cold start).
+          link.spares.pop(out.bytes);
+          const std::size_t capacity = out.bytes.capacity();
+          out.bytes.assign(frame.begin(), frame.end());
+          out.copy_allocated = out.bytes.capacity() != capacity;
+          link.frames.push(std::move(out));
         },
         [this](wire::PortId /*local*/, wire::PortId peer) {
           const std::size_t d = shard_of_port(peer);
@@ -343,7 +347,7 @@ std::size_t ShardedRouteServer::wire_count() {
 std::uint64_t ShardedRouteServer::cross_shard_ring_drops() const {
   std::uint64_t drops = 0;
   for (const auto& shard : shards_) {
-    for (const auto& ring : shard->inbound) drops += ring->dropped();
+    for (const auto& link : shard->inbound) drops += link->frames.dropped();
   }
   return drops;
 }
@@ -391,10 +395,13 @@ std::size_t ShardedRouteServer::drain_wires(std::size_t s) {
   Shard& shard = *shards_[s];
   std::size_t drained = 0;
   CrossShardFrame frame;
-  for (auto& ring : shard.inbound) {
-    while (ring->pop(frame)) {
+  for (auto& link : shard.inbound) {
+    while (link->frames.pop(frame)) {
       shard.server->deliver_remote(frame.dst_port, frame.bytes,
-                                   frame.trace_id);
+                                   frame.trace_id, frame.copy_allocated);
+      // The frame is delivered, so its buffer goes back to the producer;
+      // a full spare ring frees it instead.
+      link->spares.push(std::move(frame.bytes));
       ++drained;
     }
   }

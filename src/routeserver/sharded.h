@@ -14,10 +14,13 @@
 //   - Cross-shard wires: when a deployed design really does wire two ports
 //     owned by different shards, each side installs a remote WireEnd
 //     (RouteServer::connect_port_remote). Frames crossing over are copied
-//     into a lock-free SPSC ring (util::SpscRing) toward the owning shard
-//     — one ring per ordered shard pair, so single-producer/single-consumer
-//     holds by construction. A full ring drops the frame (counted), like a
-//     congested physical wire.
+//     into a recycled buffer and pushed through a lock-free SPSC ring
+//     (util::SpscRing) toward the owning shard — one ring per ordered shard
+//     pair, so single-producer/single-consumer holds by construction. A
+//     full ring drops the frame (counted), like a congested physical wire.
+//     After delivery the consumer sends the emptied buffer back to the
+//     producer through a second SPSC ring of the same pair, so a steady
+//     cross-shard flow allocates nothing.
 //   - Command queues: rare control-plane work (place a joining site, clear
 //     the far end of a torn-down wire, snapshot stats/metrics) is posted to
 //     the owning shard's mutex-guarded queue and runs on its thread between
@@ -56,6 +59,10 @@ namespace rnl::routeserver {
 /// producer's view dies with its decode burst).
 struct CrossShardFrame {
   wire::PortId dst_port = 0;
+  /// The copy into `bytes` allocated: no spare buffer had come back, or
+  /// the one that had was too small. Declared next to dst_port, it sits
+  /// in that field's padding and adds nothing to a ring slot.
+  bool copy_allocated = false;
   std::uint64_t trace_id = 0;
   util::Bytes bytes;
 };
@@ -64,6 +71,9 @@ class ShardedRouteServer {
  public:
   /// Slots per cross-shard wire ring.
   static constexpr std::size_t kWireRingCapacity = 4096;
+  /// Emptied frame buffers one shard pair keeps for reuse. Enough for any
+  /// burst a drain normally sees; past it the consumer frees the buffer.
+  static constexpr std::size_t kSpareRingCapacity = 256;
 
   struct Options {
     std::size_t shards = 1;
@@ -175,14 +185,22 @@ class ShardedRouteServer {
   [[nodiscard]] double shard_cpu_seconds(std::size_t s) const;
 
  private:
+  /// One ordered shard pair's wire, producer shard p to consumer shard d.
+  struct WireRing {
+    /// Frames toward d (SPSC: p's thread pushes, d's thread pops).
+    util::SpscRing<CrossShardFrame> frames{kWireRingCapacity};
+    /// Their emptied buffers on the way back for p to reuse (SPSC: d's
+    /// thread pushes, p's thread pops).
+    util::SpscRing<util::Bytes> spares{kSpareRingCapacity};
+  };
+
   struct Shard {
     std::unique_ptr<simnet::Scheduler> owned_scheduler;
     simnet::Scheduler* scheduler = nullptr;
     std::unique_ptr<util::MetricsRegistry> metrics;
     std::unique_ptr<RouteServer> server;
-    /// inbound[p]: frames from producer shard p (SPSC: p's thread pushes,
-    /// this shard's thread pops).
-    std::vector<std::unique_ptr<util::SpscRing<CrossShardFrame>>> inbound;
+    /// inbound[p]: the wire from producer shard p.
+    std::vector<std::unique_ptr<WireRing>> inbound;
     std::mutex command_mutex;
     std::deque<std::function<void()>> commands;
     std::function<bool()> pump;

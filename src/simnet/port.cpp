@@ -1,9 +1,18 @@
 #include "simnet/port.h"
 
+#include <cstring>
+
 #include "simnet/scheduler.h"
 #include "util/logging.h"
 
 namespace rnl::simnet {
+
+namespace {
+struct RecordHeader {
+  std::int64_t due_ns;
+  std::size_t length;
+};
+}  // namespace
 
 Port::Port(Scheduler& scheduler, std::string name)
     : scheduler_(scheduler), name_(std::move(name)) {}
@@ -52,8 +61,8 @@ Cable::Cable(Scheduler& scheduler, Port& a, Port& b, CableProperties props)
   }
   a_.cable_ = this;
   b_.cable_ = this;
-  next_delivery_a_to_b_ = scheduler.now();
-  next_delivery_b_to_a_ = scheduler.now();
+  a_to_b_.floor = scheduler.now();
+  b_to_a_.floor = scheduler.now();
 }
 
 Cable::~Cable() {
@@ -80,11 +89,11 @@ void Cable::carry(Port& from, util::BytesView frame) {
         static_cast<double>(frame.size()) * 8.0 * 1e9 /
         static_cast<double>(props_.bandwidth_bps))};
   }
-  util::SimTime& fifo_floor =
-      &from == &a_ ? next_delivery_a_to_b_ : next_delivery_b_to_a_;
+  const bool from_a = &from == &a_;
+  Lane& lane = from_a ? a_to_b_ : b_to_a_;
   util::SimTime arrival = scheduler_.now() + serialization + latency;
-  if (arrival < fifo_floor) arrival = fifo_floor;  // a cable never reorders
-  fifo_floor = arrival;
+  if (arrival < lane.floor) arrival = lane.floor;  // a cable never reorders
+  lane.floor = arrival;
 
   // The scheduled delivery must survive neither endpoint being torn down
   // mid-flight (reservation expiry can unwire a live lab): the cable pointer
@@ -93,12 +102,14 @@ void Cable::carry(Port& from, util::BytesView frame) {
   // Frames with the same arrival instant coalesce onto the event already
   // scheduled for that instant: the due times are monotonic per direction,
   // so a new event is needed only when the arrival time advances.
-  const bool from_a = &from == &a_;
-  auto& inflight = from_a ? inflight_a_to_b_ : inflight_b_to_a_;
-  const bool need_event =
-      inflight.empty() || inflight.back().due != arrival;
-  inflight.push_back(
-      PendingDelivery{arrival, util::Bytes(frame.begin(), frame.end())});
+  const bool need_event = lane.frames == 0 || lane.last_due != arrival;
+  const RecordHeader header{arrival.nanos, frame.size()};
+  const auto* header_bytes = reinterpret_cast<const std::uint8_t*>(&header);
+  lane.records.insert(lane.records.end(), header_bytes,
+                      header_bytes + sizeof header);
+  lane.records.insert(lane.records.end(), frame.begin(), frame.end());
+  ++lane.frames;
+  lane.last_due = arrival;
   if (!need_event) return;
   Cable* self = this;
   Port* dest = &to;
@@ -113,20 +124,47 @@ void Cable::carry(Port& from, util::BytesView frame) {
 }
 
 void Cable::drain(bool from_a) {
-  auto& inflight = from_a ? inflight_a_to_b_ : inflight_b_to_a_;
+  Lane& lane = from_a ? a_to_b_ : b_to_a_;
   Port& dest = from_a ? b_ : a_;
   const util::SimTime now = scheduler_.now();
-  // Deliver everything due by now. A receive handler may transmit back onto
-  // this cable reentrantly (append while we drain) or unplug it outright, so
-  // re-validate the wiring and take each frame off the queue before handing
-  // it over. The wiring check runs first: once it fails, no member of a
-  // possibly-destroyed Cable is touched.
-  while (dest.cable_ == this && !inflight.empty() &&
-         inflight.front().due <= now) {
-    util::Bytes frame = std::move(inflight.front().frame);
-    inflight.pop_front();
+  // Deliver everything due by now. The drain holds the lane's records while
+  // it hands frames over as views into them. A receive handler may transmit
+  // onto this lane reentrantly (its records land in the emptied lane buffer
+  // and join the held ones once the handler returns) or unplug the cable
+  // outright (the held bytes then die with this call, not under the
+  // handler). The wiring check runs first after each delivery: once it
+  // fails, no member of a possibly-destroyed Cable is touched.
+  util::Bytes held = std::move(lane.records);
+  std::size_t head = lane.head;
+  lane.head = 0;
+  while (head < held.size()) {
+    RecordHeader header{};
+    std::memcpy(&header, held.data() + head, sizeof header);
+    if (header.due_ns > now.nanos) break;
+    const util::BytesView frame(held.data() + head + sizeof header,
+                                header.length);
+    head += sizeof header + header.length;
+    --lane.frames;
     dest.deliver(frame);
+    if (dest.cable_ != this) return;
+    if (!lane.records.empty()) {
+      held.insert(held.end(), lane.records.begin(), lane.records.end());
+      lane.records.clear();
+    }
   }
+  // Reclaim the delivered prefix: all of it once the lane is empty, else
+  // when it outweighs the frames still in flight (one memmove per byte at
+  // most, amortized).
+  if (head == held.size()) {
+    held.clear();
+    head = 0;
+    if (held.capacity() > kMaxIdleLaneBytes) util::Bytes().swap(held);
+  } else if (head >= held.size() - head) {
+    held.erase(held.begin(), held.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  lane.records = std::move(held);
+  lane.head = head;
 }
 
 }  // namespace rnl::simnet

@@ -10,7 +10,6 @@
 // both directions — this is the libpcap-equivalent RIS uses for capture.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -101,24 +100,32 @@ class Cable {
   void drain(bool from_a);
   Port& other(const Port& port) const { return &port == &a_ ? b_ : a_; }
 
+  /// A lane that drains empty keeps its buffer for the next frames unless
+  /// a burst grew it past this many bytes.
+  static constexpr std::size_t kMaxIdleLaneBytes = 256 * 1024;
+
+  // In-flight frames of one direction, packed back to back into one
+  // reusable byte buffer as [due][length][frame] records, due times
+  // monotonic (the fifo floor guarantees it). Steady traffic reuses the
+  // buffer instead of allocating per frame, and frames landing at the same
+  // instant share one scheduled drain event — a line-rate burst is one
+  // wakeup, not one heap-allocated closure per frame.
+  struct Lane {
+    util::Bytes records;  // [head, size) is in flight
+    std::size_t head = 0;
+    std::size_t frames = 0;  // in flight, including those a drain holds
+    util::SimTime last_due;  // due time of the newest record
+    // Earliest permissible delivery time: enforces FIFO ordering and
+    // models transmit serialization back-pressure.
+    util::SimTime floor;
+  };
+
   Scheduler& scheduler_;
   Port& a_;
   Port& b_;
   CableProperties props_;
-  // Per-direction earliest permissible delivery time: enforces FIFO ordering
-  // and models transmit serialization back-pressure.
-  util::SimTime next_delivery_a_to_b_;
-  util::SimTime next_delivery_b_to_a_;
-  // In-flight frames per direction, due times monotonic (the fifo floor
-  // guarantees it). Frames landing at the same instant share one scheduled
-  // drain event — a line-rate burst is one wakeup, not one heap-allocated
-  // closure per frame.
-  struct PendingDelivery {
-    util::SimTime due;
-    util::Bytes frame;
-  };
-  std::deque<PendingDelivery> inflight_a_to_b_;
-  std::deque<PendingDelivery> inflight_b_to_a_;
+  Lane a_to_b_;
+  Lane b_to_a_;
 };
 
 }  // namespace rnl::simnet

@@ -6,6 +6,35 @@ namespace {
 constexpr std::uint32_t kMagic = 0x524E4C31;  // "RNL1"
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 4 + 1 + 1 + 2 + 4 + 4 + 4;
+
+// Header fields are fixed-offset big-endian words: the encoder fills a
+// stack copy of the header and appends it in one go, and the decoder loads
+// each field straight from the bytes once the loop has checked that a
+// whole header is there.
+void store_be16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
+void store_be32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+std::uint16_t load_be16(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+std::uint64_t load_be64(const std::uint8_t* p) {
+  return (std::uint64_t{load_be32(p)} << 32) | load_be32(p + 4);
+}
 }  // namespace
 
 util::Bytes encode_message(const TunnelMessage& message,
@@ -22,18 +51,26 @@ void encode_message_into(util::ByteWriter& w, MessageType type,
                          RouterId router_id, PortId port_id,
                          util::BytesView payload, bool compressed,
                          std::uint8_t epoch, std::uint64_t trace_id) {
-  w.u32(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u16(static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(epoch) << kEpochShift) |
-      (compressed ? kFlagCompressed : 0) |
-      (trace_id != 0 ? kFlagTraced : 0)));
-  w.u32(router_id);
-  w.u32(port_id);
+  std::uint8_t header[kHeaderSize + kTraceIdSize];
   const std::size_t prefix = trace_id != 0 ? kTraceIdSize : 0;
-  w.u32(static_cast<std::uint32_t>(payload.size() + prefix));
-  if (trace_id != 0) w.u64(trace_id);
+  store_be32(header, kMagic);
+  header[4] = kVersion;
+  header[5] = static_cast<std::uint8_t>(type);
+  store_be16(header + 6,
+             static_cast<std::uint16_t>(
+                 (static_cast<std::uint16_t>(epoch) << kEpochShift) |
+                 (compressed ? kFlagCompressed : 0) |
+                 (trace_id != 0 ? kFlagTraced : 0)));
+  store_be32(header + 8, router_id);
+  store_be32(header + 12, port_id);
+  store_be32(header + 16, static_cast<std::uint32_t>(payload.size() + prefix));
+  if (trace_id != 0) {
+    store_be32(header + kHeaderSize,
+               static_cast<std::uint32_t>(trace_id >> 32));
+    store_be32(header + kHeaderSize + 4,
+               static_cast<std::uint32_t>(trace_id));
+  }
+  w.raw(header, kHeaderSize + prefix);
   w.raw(payload);
 }
 
@@ -56,29 +93,45 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
       ++compactions_;
     }
   }
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
 
-  // Parse only after all appending: payload views are subspans of buffer_,
-  // which must not reallocate while they are live.
-  std::size_t offset = consumed_;
+  // With no partial frame buffered, the chunk is parsed where it lies and
+  // only its trailing partial frame (or, on a framing error, its unconsumed
+  // remainder) is copied. Otherwise the chunk joins the buffered bytes and
+  // is parsed from there; all appending happens before parsing, because
+  // payload views are subspans of buffer_, which must not reallocate while
+  // they are live.
+  const bool in_place = buffer_.empty();
+  if (!in_place) buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+  const util::BytesView bytes = in_place ? chunk : util::BytesView(buffer_);
+  std::size_t offset = in_place ? 0 : consumed_;
+
+  // Whatever stays unparsed (a partial frame, or everything from a framing
+  // error on) is what buffered() reports.
+  auto keep_rest = [&] {
+    if (in_place) {
+      buffer_.assign(chunk.begin() + static_cast<std::ptrdiff_t>(offset),
+                     chunk.end());
+      consumed_ = 0;
+    } else {
+      consumed_ = offset;
+    }
+  };
   // On framing errors, messages parsed earlier in this chunk are still
-  // consumed — keep consumed_ at the failure offset so buffered() and the
-  // compaction state stay consistent.
+  // consumed — keep only the bytes from the failure offset, so buffered()
+  // and the compaction state stay consistent.
   auto fail = [&](const char* message) -> const std::vector<DecodedView>& {
     failed_ = true;
     error_ = message;
-    consumed_ = offset;
+    keep_rest();
     return views_;
   };
-  while (buffer_.size() - offset >= kHeaderSize) {
-    util::ByteReader r(util::BytesView(buffer_).subspan(offset));
-    std::uint32_t magic = r.u32();
-    std::uint8_t version = r.u8();
-    std::uint8_t type = r.u8();
-    std::uint16_t flags = r.u16();
-    std::uint32_t router_id = r.u32();
-    std::uint32_t port_id = r.u32();
-    std::uint32_t length = r.u32();
+  while (bytes.size() - offset >= kHeaderSize) {
+    const std::uint8_t* header = bytes.data() + offset;
+    const std::uint32_t magic = load_be32(header);
+    const std::uint8_t version = header[4];
+    const std::uint8_t type = header[5];
+    const std::uint16_t flags = load_be16(header + 6);
+    const std::uint32_t length = load_be32(header + 16);
     if (magic != kMagic) {
       return fail("tunnel: bad magic (stream desynchronized)");
     }
@@ -101,24 +154,26 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
     if (traced && length < kTraceIdSize) {
       return fail("tunnel: traced frame shorter than its trace id");
     }
-    if (buffer_.size() - offset < kHeaderSize + length) break;  // need more
+    if (bytes.size() - offset - kHeaderSize < length) break;  // need more
 
     DecodedView view;
     view.type = static_cast<MessageType>(type);
-    view.router_id = router_id;
-    view.port_id = port_id;
+    view.router_id = load_be32(header + 8);
+    view.port_id = load_be32(header + 12);
+    const std::size_t body = offset + kHeaderSize;
     if (traced) {
-      view.trace_id = r.u64();
-      view.payload = r.raw(length - kTraceIdSize);
+      view.trace_id = load_be64(header + kHeaderSize);
+      view.payload =
+          bytes.subspan(body + kTraceIdSize, length - kTraceIdSize);
     } else {
-      view.payload = r.raw(length);
+      view.payload = bytes.subspan(body, length);
     }
     view.compressed = (flags & kFlagCompressed) != 0;
     view.epoch = static_cast<std::uint8_t>(flags >> kEpochShift);
     views_.push_back(view);
-    offset += kHeaderSize + length;
+    offset = body + length;
   }
-  consumed_ = offset;
+  keep_rest();
   return views_;
 }
 

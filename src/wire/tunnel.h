@@ -92,8 +92,11 @@ void encode_message_into(util::ByteWriter& w, MessageType type,
 /// error on TCP is unrecoverable) — check error().
 class MessageDecoder {
  public:
-  /// A decoded message whose payload is a view into the decoder's internal
-  /// buffer — valid only until the next feed()/feed_views() call. This is
+  /// A decoded message whose payload is a view into the fed chunk itself
+  /// (when no partial frame was buffered ahead of it) or into the decoder's
+  /// internal buffer. Either way a view lives until the next
+  /// feed()/feed_views() call, and no longer than the chunk it was decoded
+  /// from: use it inside the receive callback that fed the chunk. This is
   /// the zero-copy fast path: steady-state forwarding never materializes a
   /// util::Bytes per message. Compressed payloads are surfaced
   /// still-compressed with `compressed` set; TunnelCodec handles inflation.
@@ -118,11 +121,15 @@ class MessageDecoder {
     std::uint64_t trace_id = 0;
   };
 
-  /// Appends stream bytes; returns views of the messages completed by this
+  /// Consumes stream bytes; returns views of the messages completed by this
   /// chunk. The returned vector and every payload view are invalidated by
-  /// the next feed()/feed_views() call. Consumed bytes are reclaimed lazily:
-  /// the buffer compacts only when the dead prefix crosses a watermark, so a
-  /// steady stream of small frames costs no per-feed memmove.
+  /// the next feed()/feed_views() call, and the payload views also by the
+  /// chunk's own end of life. With nothing buffered, complete frames are
+  /// parsed straight from `chunk` and only a trailing partial frame is
+  /// copied; otherwise the chunk is appended behind the buffered bytes.
+  /// Consumed bytes are reclaimed lazily: the buffer compacts only when the
+  /// dead prefix crosses a watermark, so a steady stream of small frames
+  /// costs no per-feed memmove.
   const std::vector<DecodedView>& feed_views(util::BytesView chunk);
 
   /// Copying convenience wrapper over feed_views (one payload allocation per

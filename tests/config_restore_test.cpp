@@ -47,10 +47,10 @@ TEST(ConfigRestore, SwitchConfigSurvivesReflashViaArchive) {
 
   // Deploying a design containing the switch restores the archive.
   DesignId design_id = service.create_design("ops", "restore-lab");
-  service.design(design_id)->add_router(sw_id);
-  service.design(design_id)->add_router(bed.router_id("dc/h"));
-  service.design(design_id)->connect(bed.port_id("dc/sw1", "Gi0/1"),
-                                     bed.port_id("dc/h", "eth0"));
+  ASSERT_TRUE(service.design(design_id)->add_router(sw_id).ok());
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("dc/h")).ok());
+  ASSERT_TRUE(service.design(design_id)->connect(bed.port_id("dc/sw1", "Gi0/1"),
+                                                 bed.port_id("dc/h", "eth0")).ok());
   util::SimTime now = bed.net().now();
   ASSERT_TRUE(service.reserve(design_id, now, now + Duration::hours(1)).ok());
   ASSERT_TRUE(service.deploy(design_id).ok());
@@ -88,7 +88,7 @@ TEST(ConfigRestore, RouterAclAndRoutesRestoreFaithfully) {
   router.remove_static_route(*packet::Ipv4Prefix::parse("172.16.0.0/16"));
 
   DesignId design_id = service.create_design("ops", "router-restore");
-  service.design(design_id)->add_router(id);
+  ASSERT_TRUE(service.design(design_id)->add_router(id).ok());
   util::SimTime now = bed.net().now();
   ASSERT_TRUE(service.reserve(design_id, now, now + Duration::hours(1)).ok());
   ASSERT_TRUE(service.deploy(design_id).ok());

@@ -34,15 +34,15 @@ TEST(Design, OneWirePerPort) {
 
 TEST(Design, JsonRoundTripIncludingWan) {
   TopologyDesign design("fig5");
-  design.add_router(1);
-  design.add_router(2);
+  ASSERT_TRUE(design.add_router(1).ok());
+  ASSERT_TRUE(design.add_router(2).ok());
   wire::NetemProfile wan;
   wan.delay = Duration::milliseconds(40);
   wan.jitter = Duration::milliseconds(3);
   wan.loss_probability = 0.001;
   wan.jitter_smoothing = 4;
-  design.connect(10, 20, wan);
-  design.connect(11, 21);
+  ASSERT_TRUE(design.connect(10, 20, wan).ok());
+  ASSERT_TRUE(design.connect(11, 21).ok());
 
   auto back = TopologyDesign::from_json(design.to_json());
   ASSERT_TRUE(back.ok());
@@ -90,9 +90,9 @@ TEST(Calendar, ReserveAndConflict) {
 
 TEST(Calendar, NextCommonFreeSlot) {
   ReservationCalendar calendar;
-  calendar.reserve("a", {1}, SimTime{0}, SimTime{} + Duration::hours(1));
-  calendar.reserve("b", {2}, SimTime{} + Duration::minutes(30),
-                   SimTime{} + Duration::hours(2));
+  ASSERT_TRUE(calendar.reserve("a", {1}, SimTime{0}, SimTime{} + Duration::hours(1)).ok());
+  ASSERT_TRUE(calendar.reserve("b", {2}, SimTime{} + Duration::minutes(30),
+                               SimTime{} + Duration::hours(2)).ok());
   SimTime slot =
       calendar.next_common_free_slot({1, 2}, Duration::hours(1), SimTime{0});
   EXPECT_EQ(slot, SimTime{} + Duration::hours(2));
@@ -101,8 +101,8 @@ TEST(Calendar, NextCommonFreeSlot) {
             SimTime{0});
   // Slot fits in a gap.
   ReservationCalendar gappy;
-  gappy.reserve("a", {1}, SimTime{} + Duration::hours(2),
-                SimTime{} + Duration::hours(3));
+  ASSERT_TRUE(gappy.reserve("a", {1}, SimTime{} + Duration::hours(2),
+                            SimTime{} + Duration::hours(3)).ok());
   EXPECT_EQ(gappy.next_common_free_slot({1}, Duration::hours(1), SimTime{0}),
             SimTime{0});
 }
@@ -144,10 +144,10 @@ TEST(Calendar, CancelAndExpire) {
 
 TEST(Calendar, ScheduleForSortsByStart) {
   ReservationCalendar calendar;
-  calendar.reserve("a", {7}, SimTime{} + Duration::hours(3),
-                   SimTime{} + Duration::hours(4));
-  calendar.reserve("b", {7}, SimTime{} + Duration::hours(1),
-                   SimTime{} + Duration::hours(2));
+  ASSERT_TRUE(calendar.reserve("a", {7}, SimTime{} + Duration::hours(3),
+                               SimTime{} + Duration::hours(4)).ok());
+  ASSERT_TRUE(calendar.reserve("b", {7}, SimTime{} + Duration::hours(1),
+                               SimTime{} + Duration::hours(2)).ok());
   auto schedule = calendar.schedule_for(7);
   ASSERT_EQ(schedule.size(), 2u);
   EXPECT_EQ(schedule[0].user, "b");

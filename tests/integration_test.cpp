@@ -41,18 +41,18 @@ class Fig5Lab : public ::testing::Test {
     core::DesignId id = service.create_design("ops", "fig5");
     core::TopologyDesign* design = service.design(id);
     for (const char* name : {"dc/sw1", "dc/sw2", "dc/fw1", "dc/fw2"}) {
-      design->add_router(bed->router_id(name));
+      ASSERT_TRUE(design->add_router(bed->router_id(name)).ok());
     }
-    design->connect(bed->port_id("dc/sw1", "Gi0/1"),
-                    bed->port_id("dc/sw2", "Gi0/1"));
-    design->connect(bed->port_id("dc/sw1", "Gi0/2"),
-                    bed->port_id("dc/fw1", "inside"));
-    design->connect(bed->port_id("dc/fw1", "outside"),
-                    bed->port_id("dc/sw2", "Gi0/2"));
-    design->connect(bed->port_id("dc/fw1", "failover"),
-                    bed->port_id("dc/fw2", "failover"));
+    ASSERT_TRUE(design->connect(bed->port_id("dc/sw1", "Gi0/1"),
+                                bed->port_id("dc/sw2", "Gi0/1")).ok());
+    ASSERT_TRUE(design->connect(bed->port_id("dc/sw1", "Gi0/2"),
+                                bed->port_id("dc/fw1", "inside")).ok());
+    ASSERT_TRUE(design->connect(bed->port_id("dc/fw1", "outside"),
+                                bed->port_id("dc/sw2", "Gi0/2")).ok());
+    ASSERT_TRUE(design->connect(bed->port_id("dc/fw1", "failover"),
+                                bed->port_id("dc/fw2", "failover")).ok());
     util::SimTime now = bed->net().now();
-    service.reserve(id, now, now + Duration::hours(1));
+    ASSERT_TRUE(service.reserve(id, now, now + Duration::hours(1)).ok());
     auto deployment = service.deploy(id);
     ASSERT_TRUE(deployment.ok()) << deployment.error();
   }
@@ -142,11 +142,14 @@ TEST(Fig6Policy, ViolationCaughtOnlyAfterShortcutLink) {
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("ops", "fig6");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("dc/r1"));
-  design->add_router(bed.router_id("dc/r2"));
-  design->connect(bed.port_id("dc/r1", "Gi0/2"), bed.port_id("dc/r2", "Gi0/2"));
+  ASSERT_TRUE(design->add_router(bed.router_id("dc/r1")).ok());
+  ASSERT_TRUE(design->add_router(bed.router_id("dc/r2")).ok());
+  ASSERT_TRUE(design
+                  ->connect(bed.port_id("dc/r1", "Gi0/2"),
+                            bed.port_id("dc/r2", "Gi0/2"))
+                  .ok());
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + Duration::hours(1));
+  ASSERT_TRUE(service.reserve(id, now, now + Duration::hours(1)).ok());
   auto deployment = service.deploy(id);
   ASSERT_TRUE(deployment.ok()) << deployment.error();
 
@@ -166,8 +169,11 @@ TEST(Fig6Policy, ViolationCaughtOnlyAfterShortcutLink) {
   EXPECT_TRUE(nightly().passed());  // filter holds on the legit path
 
   // The later "resilience" link that bypasses the filter.
-  service.teardown(*deployment);
-  design->connect(bed.port_id("dc/r1", "Gi0/3"), bed.port_id("dc/r2", "Gi0/3"));
+  ASSERT_TRUE(service.teardown(*deployment).ok());
+  ASSERT_TRUE(design
+                  ->connect(bed.port_id("dc/r1", "Gi0/3"),
+                            bed.port_id("dc/r2", "Gi0/3"))
+                  .ok());
   ASSERT_TRUE(service.deploy(id).ok());
   r1.add_static_route(prefix("10.2.0.0/24"), ip("10.99.0.2"));
 
@@ -258,15 +264,15 @@ TEST(MultiUser, SimultaneousSessionsAndSerializedDeployments) {
 
   // Two users, two disjoint designs: both deploy concurrently.
   core::DesignId a = service.create_design("alice", "a");
-  service.design(a)->add_router(bed.router_id("dc/h0"));
-  service.design(a)->add_router(bed.router_id("dc/h1"));
-  service.design(a)->connect(bed.port_id("dc/h0", "eth0"),
-                             bed.port_id("dc/h1", "eth0"));
+  ASSERT_TRUE(service.design(a)->add_router(bed.router_id("dc/h0")).ok());
+  ASSERT_TRUE(service.design(a)->add_router(bed.router_id("dc/h1")).ok());
+  ASSERT_TRUE(service.design(a)->connect(bed.port_id("dc/h0", "eth0"),
+                                         bed.port_id("dc/h1", "eth0")).ok());
   core::DesignId b = service.create_design("bob", "b");
-  service.design(b)->add_router(bed.router_id("dc/h2"));
-  service.design(b)->add_router(bed.router_id("dc/h3"));
-  service.design(b)->connect(bed.port_id("dc/h2", "eth0"),
-                             bed.port_id("dc/h3", "eth0"));
+  ASSERT_TRUE(service.design(b)->add_router(bed.router_id("dc/h2")).ok());
+  ASSERT_TRUE(service.design(b)->add_router(bed.router_id("dc/h3")).ok());
+  ASSERT_TRUE(service.design(b)->connect(bed.port_id("dc/h2", "eth0"),
+                                         bed.port_id("dc/h3", "eth0")).ok());
 
   util::SimTime now = bed.net().now();
   ASSERT_TRUE(service.reserve(a, now, now + Duration::hours(1)).ok());

@@ -279,7 +279,7 @@ TEST(JournalStreams, RegisteredStreamReplaysSnapshotThenTail) {
   {
     JournalStore store(dir.path(), nullptr, no_fsync());
     std::map<std::string, std::int64_t> epochs;
-    store.register_stream(
+    const auto registration = store.register_stream(
         "epochs",
         JournalStore::StreamHooks{
             [&] {
@@ -311,7 +311,7 @@ TEST(JournalStreams, RegisteredStreamReplaysSnapshotThenTail) {
   }
   std::map<std::string, std::int64_t> recovered;
   JournalStore store(dir.path(), nullptr, no_fsync());
-  store.register_stream(
+  const auto registration = store.register_stream(
       "epochs",
       JournalStore::StreamHooks{
           [] { return Json::object(); },
@@ -384,6 +384,77 @@ TEST(JournalPersistence, ReservationsSurviveServiceRestartViaJournal) {
   ASSERT_TRUE(bed2.service().calendar().cancel(reservation).ok());
   EXPECT_GE(store2.stats().events_appended, 1u);
   bed2.service().attach_store(nullptr);
+}
+
+TEST(JournalPersistence, DetachedServiceLeavesItsReservationsToTheNext) {
+  TempDir dir;
+  JournalStore store(dir.path(), nullptr, no_fsync());
+  ReservationId reservation = 0;
+  {
+    Testbed bed(1407, wire::NetemProfile::lan());
+    auto& site = bed.add_site("hq");
+    bed.add_host(site, "h1");
+    bed.join_all();
+    bed.service().attach_store(&store);
+    DesignId id = bed.service().create_design("alice", "handed-over");
+    ASSERT_TRUE(bed.service().design(id)->add_router(bed.router_id("hq/h1")).ok());
+    auto reserved = bed.service().reserve(id, bed.net().now(),
+                                          bed.net().now() + Duration::hours(2));
+    ASSERT_TRUE(reserved.ok()) << reserved.error();
+    reservation = *reserved;
+    bed.service().attach_store(nullptr);
+  }
+  // The service that journaled the reservation is gone: the snapshot must
+  // come from the state its detach left behind, not from its calendar.
+  ASSERT_TRUE(store.compact().ok());
+  Testbed bed2(1408, wire::NetemProfile::lan());
+  auto& site2 = bed2.add_site("hq");
+  bed2.add_host(site2, "h1");
+  bed2.join_all();
+  bed2.service().attach_store(&store);
+  auto restored = bed2.service().calendar().get(reservation);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->user, "alice");
+  EXPECT_EQ(restored->routers.size(), 1u);
+  bed2.service().attach_store(nullptr);
+}
+
+TEST(JournalStreams, ReleasedStreamKeepsItsStateForTheNextRegistration) {
+  TempDir dir;
+  JournalStore::StreamRegistration outlives_store;
+  {
+    JournalStore store(dir.path(), nullptr, no_fsync());
+    auto first = store.register_stream(
+        "epochs", JournalStore::StreamHooks{
+                      [] {
+                        Json state = Json::object();
+                        state.set("us-west", 4);
+                        return state;
+                      },
+                      nullptr, nullptr});
+    first.reset();  // freezes {"us-west": 4}; the hooks are never called again
+    ASSERT_TRUE(store.compact().ok());
+    std::int64_t restored = 0;
+    outlives_store = store.register_stream(
+        "epochs", JournalStore::StreamHooks{
+                      [] { return Json::object(); },
+                      [&](const Json& state) {
+                        restored = state["us-west"].as_int();
+                      },
+                      nullptr});
+    EXPECT_EQ(restored, 4);
+  }
+  outlives_store.reset();  // the store died first: nothing to release
+  JournalStore reopened(dir.path(), nullptr, no_fsync());
+  std::int64_t recovered = 0;
+  const auto registration = reopened.register_stream(
+      "epochs", JournalStore::StreamHooks{
+                    [] { return Json::object(); },
+                    [&](const Json& state) {
+                      recovered = state["us-west"].as_int();
+                    },
+                    nullptr});
+  EXPECT_EQ(recovered, 4);  // from the snapshot the released state entered
 }
 
 TEST(JournalStore, KvInterfaceListsSortedKeysAndRejectsHostileOnes) {

@@ -68,10 +68,10 @@ TEST_F(ServiceFlow, FullLifecycleDesignReserveDeployPingTeardown) {
 TEST_F(ServiceFlow, RoutersAreMutuallyExclusiveAcrossDeployments) {
   LabService& service = bed.service();
   DesignId alice = service.create_design("alice", "a");
-  service.design(alice)->add_router(bed.router_id("hq/h1"));
-  service.design(alice)->add_router(bed.router_id("hq/h2"));
-  service.design(alice)->connect(bed.port_id("hq/h1", "eth0"),
-                                 bed.port_id("hq/h2", "eth0"));
+  ASSERT_TRUE(service.design(alice)->add_router(bed.router_id("hq/h1")).ok());
+  ASSERT_TRUE(service.design(alice)->add_router(bed.router_id("hq/h2")).ok());
+  ASSERT_TRUE(service.design(alice)->connect(bed.port_id("hq/h1", "eth0"),
+                                             bed.port_id("hq/h2", "eth0")).ok());
   ASSERT_TRUE(service
                   .reserve(alice, bed.net().now(),
                            bed.net().now() + Duration::hours(1))
@@ -80,7 +80,7 @@ TEST_F(ServiceFlow, RoutersAreMutuallyExclusiveAcrossDeployments) {
 
   // Bob wants h2 in the same window: reservation already blocks him.
   DesignId bob = service.create_design("bob", "b");
-  service.design(bob)->add_router(bed.router_id("hq/h2"));
+  ASSERT_TRUE(service.design(bob)->add_router(bed.router_id("hq/h2")).ok());
   EXPECT_FALSE(service
                    .reserve(bob, bed.net().now(),
                             bed.net().now() + Duration::minutes(30))
@@ -96,10 +96,10 @@ TEST_F(ServiceFlow, RoutersAreMutuallyExclusiveAcrossDeployments) {
 TEST_F(ServiceFlow, ExpiredReservationTearsDownAutomatically) {
   LabService& service = bed.service();
   DesignId design_id = service.create_design("alice", "short");
-  service.design(design_id)->add_router(bed.router_id("hq/h1"));
-  service.design(design_id)->add_router(bed.router_id("hq/h2"));
-  service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
-                                     bed.port_id("hq/h2", "eth0"));
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("hq/h1")).ok());
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("hq/h2")).ok());
+  ASSERT_TRUE(service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
+                                                 bed.port_id("hq/h2", "eth0")).ok());
   ASSERT_TRUE(service
                   .reserve(design_id, bed.net().now(),
                            bed.net().now() + Duration::minutes(2))
@@ -233,7 +233,7 @@ TEST_F(ServiceFlow, DeployRefusedWhileRouteServerIsOverloaded) {
 TEST_F(ServiceFlow, DesignSaveLoadExportImport) {
   LabService& service = bed.service();
   DesignId id = service.create_design("alice", "keeper");
-  service.design(id)->add_router(bed.router_id("hq/h1"));
+  ASSERT_TRUE(service.design(id)->add_router(bed.router_id("hq/h1")).ok());
   ASSERT_TRUE(service.save_design(id).ok());
   auto loaded = service.load_design("alice", "keeper");
   ASSERT_TRUE(loaded.ok());
@@ -273,10 +273,10 @@ TEST_F(ServiceFlow, ConfigSaveAndAutoRestoreOnDeploy) {
   // the config instead) and verify deploy pushes the archive back.
   h1->configure(prefix("192.168.9.9/24"), ip("192.168.9.1"));
   DesignId design_id = service.create_design("alice", "restore");
-  service.design(design_id)->add_router(h1_id);
-  service.design(design_id)->add_router(bed.router_id("hq/h2"));
-  service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
-                                     bed.port_id("hq/h2", "eth0"));
+  ASSERT_TRUE(service.design(design_id)->add_router(h1_id).ok());
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("hq/h2")).ok());
+  ASSERT_TRUE(service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
+                                                 bed.port_id("hq/h2", "eth0")).ok());
   ASSERT_TRUE(service
                   .reserve(design_id, bed.net().now(),
                            bed.net().now() + Duration::hours(1))
@@ -357,10 +357,10 @@ TEST_F(ServiceFlow, ApiDrivesTheWholeFlow) {
 TEST_F(ServiceFlow, NightlyTestHarnessReportsStepOutcomes) {
   LabService& service = bed.service();
   DesignId design_id = service.create_design("alice", "nightly");
-  service.design(design_id)->add_router(bed.router_id("hq/h1"));
-  service.design(design_id)->add_router(bed.router_id("hq/h2"));
-  service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
-                                     bed.port_id("hq/h2", "eth0"));
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("hq/h1")).ok());
+  ASSERT_TRUE(service.design(design_id)->add_router(bed.router_id("hq/h2")).ok());
+  ASSERT_TRUE(service.design(design_id)->connect(bed.port_id("hq/h1", "eth0"),
+                                                 bed.port_id("hq/h2", "eth0")).ok());
   ASSERT_TRUE(service
                   .reserve(design_id, bed.net().now(),
                            bed.net().now() + Duration::hours(1))

@@ -313,6 +313,120 @@ TEST(ModelCheckSharded, TeardownVsInFlightWirePushAccountsForEveryFrame) {
 }
 
 // ---------------------------------------------------------------------------
+// Harness 3b: recycled cross-shard buffers — the protocol replica of
+// ShardedRouteServer's wire (sharded.cpp: the remote-deliver handler and
+// drain_wires). Buffers travel producer -> consumer in the frame ring and
+// back in the spare ring. A buffer's bytes are plain memory, published only
+// by the two rings' release/acquire pairs, so the consumer must be done
+// reading a frame before it hands the buffer back. Freeing a buffer is
+// modeled as a write to it: whoever frees must be its only user.
+// ---------------------------------------------------------------------------
+
+struct RecycledBuffer {
+  mc::Raced<int> bytes{0};
+};
+
+/// What the explored executions reached, summed across all of them.
+struct RecycleCoverage {
+  std::uint64_t wire_full = 0;    // a frame dropped on a full frame ring
+  std::uint64_t spares_full = 0;  // a buffer freed on a full spare ring
+  std::uint64_t reused = 0;       // a frame copied into a returned buffer
+};
+
+void recycle_harness(mc::Model& m, RecycleCoverage* coverage,
+                     bool return_before_read) {
+  constexpr int kFrames = 4;
+  struct State {
+    SpscRing<RecycledBuffer*, mc::ModelConcurrency> frames{2};
+    SpscRing<RecycledBuffer*, mc::ModelConcurrency> spares{2};
+    // Producer-owned: every buffer it ever allocated (the model's heap).
+    std::vector<std::unique_ptr<RecycledBuffer>> heap;
+    int reused = 0;                   // producer-only
+    std::vector<int> delivered;       // consumer-only until after()
+    int freed_on_full_spares = 0;     // consumer-only until after()
+  };
+  auto st = std::make_shared<State>();
+
+  m.thread("producer-shard", [st] {
+    for (int frame = 1; frame <= kFrames; ++frame) {
+      RecycledBuffer* buffer = nullptr;
+      if (st->spares.pop(buffer)) {
+        ++st->reused;
+      } else {  // cold start: nothing came back yet
+        st->heap.push_back(std::make_unique<RecycledBuffer>());
+        buffer = st->heap.back().get();
+      }
+      buffer->bytes = frame;  // the frame's copy into the buffer
+      if (!st->frames.push(buffer)) buffer->bytes = -1;  // dropped: freed
+    }
+  });
+  m.thread("consumer-shard", [st, return_before_read] {
+    for (int attempt = 0; attempt < 6; ++attempt) {
+      RecycledBuffer* buffer = nullptr;
+      if (!st->frames.pop(buffer)) continue;
+      bool returned = false;
+      // The seeded bug: hand the buffer back before delivering its frame.
+      if (return_before_read) returned = st->spares.push(buffer);
+      st->delivered.push_back(buffer->bytes);  // deliver_remote's view
+      if (!return_before_read) returned = st->spares.push(buffer);
+      if (!returned) {
+        ++st->freed_on_full_spares;
+        buffer->bytes = -1;  // freed
+      }
+    }
+  });
+  m.after([st, coverage] {
+    RecycledBuffer* buffer = nullptr;
+    while (st->frames.pop(buffer)) st->delivered.push_back(buffer->bytes);
+    const int dropped = static_cast<int>(st->frames.dropped());
+    mc::check(static_cast<int>(st->delivered.size()) + dropped == kFrames,
+              "every frame is delivered once or dropped on a full ring");
+    int previous = 0;
+    for (int got : st->delivered) {
+      mc::check(got > previous,
+                "each delivery reads its own frame, in FIFO order");
+      previous = got;
+    }
+    mc::check(st->spares.dropped() ==
+                  static_cast<std::uint64_t>(st->freed_on_full_spares),
+              "a buffer is freed only when the spare ring is full");
+    coverage->wire_full += dropped > 0 ? 1 : 0;
+    coverage->spares_full += st->freed_on_full_spares > 0 ? 1 : 0;
+    coverage->reused += st->reused > 0 ? 1 : 0;
+  });
+}
+
+TEST(ModelCheckSharded, RecycledWireBuffersRoundTripRaceFree) {
+  RecycleCoverage coverage;
+  mc::Options opts;
+  opts.preemption_bound = 4;
+  opts.max_executions = 120000;
+  const mc::Result result = mc::explore(opts, [&](mc::Model& m) {
+    recycle_harness(m, &coverage, /*return_before_read=*/false);
+  });
+  ASSERT_TRUE(result.ok()) << result.violation->format();
+  EXPECT_GE(result.executions, kMinExecutions) << result.summary();
+  // The explored space covers the full-ring paths of both rings and the
+  // reuse of a returned buffer, not just the happy path.
+  EXPECT_GT(coverage.wire_full, 0u);
+  EXPECT_GT(coverage.spares_full, 0u);
+  EXPECT_GT(coverage.reused, 0u);
+}
+
+TEST(ModelCheckSharded, ReturningABufferBeforeReadingItIsARace) {
+  RecycleCoverage coverage;
+  mc::Options opts;
+  opts.quiet = true;
+  opts.preemption_bound = 3;
+  const mc::Result result = mc::explore(opts, [&](mc::Model& m) {
+    recycle_harness(m, &coverage, /*return_before_read=*/true);
+  });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.violation->kind, "data_race");
+  ASSERT_NE(result.violation->token.find("mc1:"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
 // Harness 4: metrics — a hot-path writer racing the cross-shard snapshot
 // reader that merge_snapshots/the tail gate rely on.
 // ---------------------------------------------------------------------------

@@ -185,10 +185,10 @@ TEST(ServiceFailureInjection, RisDisconnectMidDeploymentIsSurvivable) {
 
   LabService& service = bed.service();
   DesignId id = service.create_design("ops", "doomed");
-  service.design(id)->add_router(bed.router_id("a/h1"));
-  service.design(id)->add_router(bed.router_id("b/h2"));
-  service.design(id)->connect(bed.port_id("a/h1", "eth0"),
-                              bed.port_id("b/h2", "eth0"));
+  ASSERT_TRUE(service.design(id)->add_router(bed.router_id("a/h1")).ok());
+  ASSERT_TRUE(service.design(id)->add_router(bed.router_id("b/h2")).ok());
+  ASSERT_TRUE(service.design(id)->connect(bed.port_id("a/h1", "eth0"),
+                                          bed.port_id("b/h2", "eth0")).ok());
   util::SimTime now = bed.net().now();
   ASSERT_TRUE(service.reserve(id, now, now + Duration::hours(1)).ok());
   ASSERT_TRUE(service.deploy(id).ok());
@@ -225,11 +225,11 @@ TEST(ServiceFailureInjection, DeployRollsBackWhenPortAlreadyWired) {
                   .ok());
 
   DesignId id = service.create_design("ops", "conflicted");
-  service.design(id)->add_router(bed.router_id("dc/h2"));
-  service.design(id)->add_router(bed.router_id("dc/h1"));
+  ASSERT_TRUE(service.design(id)->add_router(bed.router_id("dc/h2")).ok());
+  ASSERT_TRUE(service.design(id)->add_router(bed.router_id("dc/h1")).ok());
   // First link is fine, second collides with the out-of-band wire.
-  service.design(id)->connect(bed.port_id("dc/h2", "eth0"),
-                              bed.port_id("dc/h1", "eth0"));
+  ASSERT_TRUE(service.design(id)->connect(bed.port_id("dc/h2", "eth0"),
+                                          bed.port_id("dc/h1", "eth0")).ok());
   util::SimTime now = bed.net().now();
   ASSERT_TRUE(service.reserve(id, now, now + Duration::hours(1)).ok());
   auto deployment = service.deploy(id);

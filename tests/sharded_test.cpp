@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -369,6 +370,42 @@ TEST_F(ShardedStack, FullWireRingDropsFramesLikeACongestedLink) {
   EXPECT_LT(rx.rx_count(0), kBurst);
 }
 
+TEST_F(ShardedStack, SteadyStateFastPathAllocatesNothingAcrossShards) {
+  // The cross-shard twin of RnlStack.SteadyStateFastPathAllocatesNothing:
+  // once the wire's buffers have come back from the consumer shard, every
+  // frame crossing it reuses one, so neither shard allocates per frame.
+  join_on(0, site1);
+  join_on(1, site2);
+  ASSERT_TRUE(
+      server.connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+          .ok());
+  h1.ping(ip("10.0.0.2"), 10);
+  settle(40);
+  ASSERT_EQ(h1.ping_replies().size(), 10u);
+
+  std::vector<routeserver::DataPlaneStats> before;
+  for (std::size_t s = 0; s < 2; ++s) {
+    before.push_back(server.shard(s).stats().dataplane);
+  }
+  const std::uint64_t crossed_before = server.stats().cross_shard_frames_in;
+
+  h1.ping(ip("10.0.0.2"), 50);  // one echo every 100 ms
+  settle(140);
+  ASSERT_EQ(h1.ping_replies().size(), 60u);
+
+  EXPECT_GE(server.stats().cross_shard_frames_in - crossed_before, 100u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    const auto& dp = server.shard(s).stats().dataplane;
+    EXPECT_EQ(dp.payload_allocs - before[s].payload_allocs, 0u)
+        << "shard " << s;
+    EXPECT_EQ(dp.slow_path_frames - before[s].slow_path_frames, 0u)
+        << "shard " << s;
+    EXPECT_GE(dp.fast_path_frames - before[s].fast_path_frames, 50u)
+        << "shard " << s;
+  }
+  EXPECT_EQ(server.cross_shard_ring_drops(), 0u);
+}
+
 TEST_F(ShardedStack, DispatchSniffsTheJoinAndPlacesByHash) {
   auto [ris_end, server_end] = transport::make_sim_stream_pair(net.scheduler());
   server.dispatch(std::move(server_end));
@@ -614,6 +651,75 @@ TEST(ShardedThreaded, CrossShardTrafficSurvivesKillRejoinAndSnapshots) {
   EXPECT_EQ(stats.sites_rejoined, 3u);
   EXPECT_GE(stats.cross_shard_frames_in, 24u);
   EXPECT_EQ(stats.decode_errors, 0u);
+}
+
+/// Cross-shard frames between two running shard threads, more of them than
+/// the spare ring holds: each wire buffer is filled on one thread, read on
+/// the other and handed back for reuse many times over. Under --tsan this
+/// is the race test for the recycled buffers.
+TEST(ShardedThreaded, RecycledWireBuffersCycleBetweenShardThreads) {
+  constexpr std::uint32_t kFrames =
+      4 * static_cast<std::uint32_t>(ShardedRouteServer::kSpareRingCapacity);
+  simnet::Network net0{11};
+  simnet::Network net1{13};
+  ShardedRouteServer::Options options;
+  options.shards = 2;
+  options.schedulers = {&net0.scheduler(), &net1.scheduler()};
+  ShardedRouteServer server(options);
+
+  ris::RouterInterface site1(net0, "alpha");
+  ris::RouterInterface site2(net1, "beta");
+  devices::TrafficGenerator tx(net0, "tx", 1);
+  devices::TrafficGenerator rx(net1, "rx", 1);
+  rx.set_count_only(true);
+  site1.map_port(site1.add_router(&tx, "generator", "ixia.png"), 0, "port1");
+  site2.map_port(site2.add_router(&rx, "analyzer", "ixia.png"), 0, "port1");
+  for (auto [site, shard, net] :
+       {std::tuple{&site1, std::size_t{0}, &net0},
+        std::tuple{&site2, std::size_t{1}, &net1}}) {
+    auto [ris_end, server_end] =
+        transport::make_sim_stream_pair(net->scheduler());
+    server.accept(shard, std::move(server_end));
+    site->join(std::move(ris_end));
+  }
+  for (int i = 0; i < 10; ++i) {
+    net0.run_for(util::Duration::milliseconds(100));
+    net1.run_for(util::Duration::milliseconds(100));
+    server.pump_all();
+  }
+  ASSERT_TRUE(site1.joined());
+  ASSERT_TRUE(site2.joined());
+  ASSERT_TRUE(server
+                  .connect_ports(server.port_id("alpha/tx", "port1"),
+                                 server.port_id("beta/rx", "port1"))
+                  .ok());
+
+  server.start();
+  devices::TrafficGenerator::Stream stream;
+  stream.template_frame = util::Bytes(64, 0x5A);
+  stream.count = kFrames;
+  stream.burst = 4;
+  stream.interval = util::Duration::microseconds(200);
+  server.run_on_shard(0, [&] { tx.start_stream(0, stream); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stats().cross_shard_frames_in < kFrames &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server.stop();
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.cross_shard_frames_in, kFrames);
+  EXPECT_EQ(server.cross_shard_ring_drops(), 0u);
+  // Buffers came back and were reused: far fewer ring copies allocated
+  // than frames crossed.
+  EXPECT_LT(server.shard(1).stats().dataplane.payload_allocs, kFrames);
+  for (int i = 0; i < 20; ++i) {
+    net1.run_for(util::Duration::milliseconds(50));
+    server.pump_all();
+  }
+  EXPECT_EQ(rx.rx_count(0), kFrames);
 }
 
 /// stop() must drain queued commands and ring frames, not strand them: a

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "simnet/network.h"
 
 namespace rnl::simnet {
@@ -234,6 +236,70 @@ TEST_F(CableTest, TapSeesBothDirections) {
   net.run_all();
   EXPECT_EQ(tx_seen, 1);
   EXPECT_EQ(rx_seen, 1);
+}
+
+TEST_F(CableTest, HandlerTransmittingOnTheSameCableKeepsOrder) {
+  // A burst lands at one instant and drains in one event. The receiver
+  // echoes each frame back (the other direction) straight from the view it
+  // was handed, and the first frames make the sender transmit again in the
+  // direction being drained. Every frame still arrives once, in order, and
+  // the world runs dry.
+  Port& a = net.make_port("a");
+  Port& b = net.make_port("b");
+  net.connect(a, b);
+  std::vector<std::uint8_t> at_b;
+  std::vector<std::uint8_t> at_a;
+  b.set_receive_handler([&](util::BytesView frame) {
+    at_b.push_back(frame[0]);
+    if (frame[0] <= 3) {
+      util::Bytes follow_up(1500, static_cast<std::uint8_t>(frame[0] + 10));
+      a.transmit(follow_up);  // appended to the direction mid-drain
+    }
+    b.transmit(frame);  // echoed from the view itself
+    EXPECT_EQ(frame.size(), 1500u);  // the view survived both transmits
+  });
+  a.set_receive_handler([&](util::BytesView frame) {
+    at_a.push_back(frame[0]);
+  });
+  for (std::uint8_t i = 1; i <= 5; ++i) a.transmit(util::Bytes(1500, i));
+  net.run_all();
+  const std::vector<std::uint8_t> expected = {1, 2, 3, 4, 5, 11, 12, 13};
+  EXPECT_EQ(at_b, expected);
+  EXPECT_EQ(at_a, expected);
+  EXPECT_EQ(b.stats().rx_frames, 8u);
+  EXPECT_EQ(a.stats().rx_frames, 8u);
+  EXPECT_TRUE(net.scheduler().empty());
+}
+
+TEST_F(CableTest, HandlerUnpluggingMidDrainStopsCleanly) {
+  // The second frame of a same-instant burst unplugs the cable from inside
+  // the receive handler, then keeps reading its frame: the view must stay
+  // valid, the rest of the burst dies in the fiber, and nothing runs later.
+  Port& a = net.make_port("a");
+  Port& b = net.make_port("b");
+  net.connect(a, b, CableProperties{.delay = util::Duration::milliseconds(1)});
+  std::vector<std::uint8_t> at_b;
+  std::size_t bytes_after_unplug = 0;
+  b.set_receive_handler([&](util::BytesView frame) {
+    at_b.push_back(frame[0]);
+    if (frame[0] == 2) {
+      net.disconnect(b);
+      util::Bytes copy(frame.begin(), frame.end());
+      bytes_after_unplug = copy.size();
+    }
+  });
+  for (std::uint8_t i = 1; i <= 5; ++i) a.transmit(util::Bytes(600, i));
+  net.run_all();
+  const std::vector<std::uint8_t> expected = {1, 2};
+  EXPECT_EQ(at_b, expected);
+  EXPECT_EQ(bytes_after_unplug, 600u);
+  EXPECT_EQ(net.cable_count(), 0u);
+  EXPECT_TRUE(net.scheduler().empty());
+  // The ports stay usable: a fresh cable carries traffic again.
+  net.connect(a, b);
+  a.transmit(util::Bytes(64, 9));
+  net.run_all();
+  EXPECT_EQ(at_b.back(), 9);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(Persistence, DesignsSurviveServiceRestart) {
     bed.service().attach_store(&store);
     router_id = bed.router_id("hq/h1");
     DesignId id = bed.service().create_design("alice", "durable");
-    bed.service().design(id)->add_router(router_id);
+    ASSERT_TRUE(bed.service().design(id)->add_router(router_id).ok());
     ASSERT_TRUE(bed.service().save_design(id).ok());
   }
   // A brand-new world (fresh service, fresh ids) sees the stored design.

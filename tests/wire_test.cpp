@@ -88,6 +88,58 @@ TEST(TunnelCodec, BufferedStaysConsistentAfterMidChunkFailure) {
   EXPECT_EQ(decoder.buffered(), chunk.size() - good);
 }
 
+TEST(TunnelCodec, CompleteFramesDecodeInPlaceAndOnlyTheTailIsBuffered) {
+  // With nothing buffered, a chunk's complete frames are parsed where they
+  // lie: the views point into the chunk itself, and only the trailing
+  // partial frame is copied into the decoder.
+  util::Bytes chunk;
+  std::vector<util::Bytes> payloads;
+  for (std::uint8_t i = 1; i <= 3; ++i) {
+    TunnelMessage msg;
+    msg.type = MessageType::kData;
+    msg.router_id = i;
+    msg.port_id = 10u + i;
+    msg.payload.assign(40u * i, i);
+    payloads.push_back(msg.payload);
+    util::Bytes wire = encode_message(msg);
+    chunk.insert(chunk.end(), wire.begin(), wire.end());
+  }
+  TunnelMessage last;
+  last.type = MessageType::kData;
+  last.router_id = 4;
+  last.port_id = 14;
+  last.payload.assign(100, 0x44);
+  const util::Bytes last_wire = encode_message(last);
+  const std::size_t tail = 27;  // the header and part of the payload
+  chunk.insert(chunk.end(), last_wire.begin(),
+               last_wire.begin() + static_cast<std::ptrdiff_t>(tail));
+
+  MessageDecoder decoder;
+  const auto& views = decoder.feed_views(chunk);
+  ASSERT_EQ(views.size(), 3u);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_GE(views[i].payload.data(), chunk.data());
+    EXPECT_LE(views[i].payload.data() + views[i].payload.size(),
+              chunk.data() + chunk.size());
+    EXPECT_TRUE(std::equal(views[i].payload.begin(), views[i].payload.end(),
+                           payloads[i].begin(), payloads[i].end()));
+    EXPECT_EQ(views[i].port_id, 11u + i);
+  }
+  EXPECT_EQ(decoder.buffered(), tail);
+
+  // The next chunk completes the buffered frame.
+  const util::BytesView rest =
+      util::BytesView(last_wire).subspan(tail, last_wire.size() - tail);
+  const auto& completed = decoder.feed_views(rest);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed[0].port_id, 14u);
+  EXPECT_TRUE(std::equal(completed[0].payload.begin(),
+                         completed[0].payload.end(), last.payload.begin(),
+                         last.payload.end()));
+  EXPECT_EQ(decoder.buffered(), 0u);
+  EXPECT_FALSE(decoder.failed());
+}
+
 TEST(TunnelCodec, RejectsOversizedPayloadDeclaration) {
   TunnelMessage msg;
   msg.payload = {1};
