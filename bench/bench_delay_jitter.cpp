@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -36,11 +37,11 @@ Measured measure(wire::NetemProfile profile, std::size_t probes) {
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("qa", "netem-check");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("lab/gen"));
-  design->connect(bed.port_id("lab/gen", "port1"),
-                  bed.port_id("lab/gen", "port2"), profile);
+  must(design->add_router(bed.router_id("lab/gen")));
+  must(design->connect(bed.port_id("lab/gen", "port1"),
+                       bed.port_id("lab/gen", "port2"), profile));
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(1));
+  must(service.reserve(id, now, now + util::Duration::hours(1)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -55,19 +56,19 @@ Row run_fleet(std::size_t num_sites) {
   core::DesignId id = service.create_design("scale", "fleet");
   core::TopologyDesign* design = service.design(id);
   for (std::size_t i = 0; i < num_sites; ++i) {
-    design->add_router(bed.router_id("site" + std::to_string(i) + "/h" +
-                                     std::to_string(i)));
+    must(design->add_router(bed.router_id("site" + std::to_string(i) + "/h" +
+                                          std::to_string(i))));
   }
   for (std::size_t i = 0; i + 1 < num_sites; i += 2) {
-    design->connect(
+    must(design->connect(
         bed.port_id("site" + std::to_string(i) + "/h" + std::to_string(i),
                     "eth0"),
         bed.port_id("site" + std::to_string(i + 1) + "/h" +
                         std::to_string(i + 1),
-                    "eth0"));
+                    "eth0")));
   }
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(1));
+  must(service.reserve(id, now, now + util::Duration::hours(1)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -19,11 +20,11 @@ void BM_DesignBuild(benchmark::State& state) {
   for (auto _ : state) {
     core::TopologyDesign design("bench");
     for (std::size_t i = 0; i < n; ++i) {
-      design.add_router(static_cast<wire::RouterId>(i + 1));
+      must(design.add_router(static_cast<wire::RouterId>(i + 1)));
     }
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      design.connect(static_cast<wire::PortId>(2 * i + 1),
-                     static_cast<wire::PortId>(2 * i + 2));
+      must(design.connect(static_cast<wire::PortId>(2 * i + 1),
+                          static_cast<wire::PortId>(2 * i + 2)));
     }
     benchmark::DoNotOptimize(design);
   }
@@ -36,12 +37,12 @@ void BM_DesignJsonRoundTrip(benchmark::State& state) {
   core::TopologyDesign design("bench");
   std::size_t n = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < n; ++i) {
-    design.add_router(static_cast<wire::RouterId>(i + 1));
+    must(design.add_router(static_cast<wire::RouterId>(i + 1)));
   }
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    design.connect(static_cast<wire::PortId>(2 * i + 1),
-                   static_cast<wire::PortId>(2 * i + 2),
-                   wire::NetemProfile::metro());
+    must(design.connect(static_cast<wire::PortId>(2 * i + 1),
+                        static_cast<wire::PortId>(2 * i + 2),
+                        wire::NetemProfile::metro()));
   }
   for (auto _ : state) {
     std::string json = design.to_json().dump();
@@ -71,12 +72,12 @@ void BM_CalendarNextFreeSlot(benchmark::State& state) {
   core::ReservationCalendar calendar;
   std::size_t bookings = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < bookings; ++i) {
-    calendar.reserve("u" + std::to_string(i % 7),
-                     {static_cast<wire::RouterId>(1 + i % 5)},
-                     util::SimTime{static_cast<std::int64_t>(i) *
-                                   3'600'000'000'000},
-                     util::SimTime{static_cast<std::int64_t>(i + 1) *
-                                   3'600'000'000'000});
+    must(calendar.reserve("u" + std::to_string(i % 7),
+                          {static_cast<wire::RouterId>(1 + i % 5)},
+                          util::SimTime{static_cast<std::int64_t>(i) *
+                                        3'600'000'000'000},
+                          util::SimTime{static_cast<std::int64_t>(i + 1) *
+                                        3'600'000'000'000}));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(calendar.next_common_free_slot(
@@ -99,18 +100,19 @@ void BM_DeployTeardownCycle(benchmark::State& state) {
   core::DesignId id = service.create_design("bench", "cycle");
   core::TopologyDesign* design = service.design(id);
   for (std::size_t i = 0; i < pairs * 2; ++i) {
-    design->add_router(bed.router_id("dc/h" + std::to_string(i)));
+    must(design->add_router(bed.router_id("dc/h" + std::to_string(i))));
   }
   for (std::size_t i = 0; i < pairs; ++i) {
-    design->connect(bed.port_id("dc/h" + std::to_string(2 * i), "eth0"),
-                    bed.port_id("dc/h" + std::to_string(2 * i + 1), "eth0"));
+    must(design->connect(
+        bed.port_id("dc/h" + std::to_string(2 * i), "eth0"),
+        bed.port_id("dc/h" + std::to_string(2 * i + 1), "eth0")));
   }
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(24));
+  must(service.reserve(id, now, now + util::Duration::hours(24)));
   for (auto _ : state) {
     auto deployment = service.deploy(id);
     if (!deployment.ok()) state.SkipWithError(deployment.error().c_str());
-    service.teardown(*deployment);
+    must(service.teardown(*deployment));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pairs));

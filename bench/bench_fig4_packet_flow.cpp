@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/testbed.h"
+#include "must.h"
 #include "wire/tunnel.h"
 
 using namespace rnl;
@@ -75,8 +76,8 @@ void BM_RoutingMatrixLookup(benchmark::State& state) {
   net.run_for(util::Duration::seconds(1));
   auto inventory = server.inventory();
   for (std::size_t i = 0; i + 1 < inventory.size(); i += 2) {
-    server.connect_ports(inventory[i].ports[0].id,
-                         inventory[i + 1].ports[0].id);
+    must(server.connect_ports(inventory[i].ports[0].id,
+                              inventory[i + 1].ports[0].id));
   }
   wire::PortId probe = inventory[inventory.size() / 2].ports[0].id;
   for (auto _ : state) {
@@ -93,8 +94,8 @@ void BM_EndToEndPath(benchmark::State& state) {
   ris::RouterInterface& site = bed.add_site("s");
   devices::TrafficGenerator& gen = bed.add_traffgen(site, "gen", 2);
   bed.join_all();
-  bed.server().connect_ports(bed.port_id("s/gen", "port1"),
-                             bed.port_id("s/gen", "port2"));
+  must(bed.server().connect_ports(bed.port_id("s/gen", "port1"),
+                                  bed.port_id("s/gen", "port2")));
   util::Bytes frame = make_frame(static_cast<std::size_t>(state.range(0)));
   std::size_t sent = 0;
   for (auto _ : state) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -38,12 +39,12 @@ FailoverResult measure_convergence(util::Duration polltime,
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("ops", "failover-sweep");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("dc/fw1"));
-  design->add_router(bed.router_id("dc/fw2"));
-  design->connect(bed.port_id("dc/fw1", "failover"),
-                  bed.port_id("dc/fw2", "failover"));
+  must(design->add_router(bed.router_id("dc/fw1")));
+  must(design->add_router(bed.router_id("dc/fw2")));
+  must(design->connect(bed.port_id("dc/fw1", "failover"),
+                       bed.port_id("dc/fw2", "failover")));
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(1));
+  must(service.reserve(id, now, now + util::Duration::hours(1)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());
@@ -84,14 +85,18 @@ std::uint64_t measure_flood_amplification(bool bpdu_forward) {
   core::DesignId id = service.create_design("ops", "loop-lab");
   core::TopologyDesign* design = service.design(id);
   for (const char* name : {"dc/sw1", "dc/sw2", "dc/fw", "dc/h"}) {
-    design->add_router(bed.router_id(name));
+    must(design->add_router(bed.router_id(name)));
   }
-  design->connect(bed.port_id("dc/sw1", "Gi0/1"), bed.port_id("dc/sw2", "Gi0/1"));
-  design->connect(bed.port_id("dc/sw1", "Gi0/2"), bed.port_id("dc/fw", "inside"));
-  design->connect(bed.port_id("dc/fw", "outside"), bed.port_id("dc/sw2", "Gi0/2"));
-  design->connect(bed.port_id("dc/h", "eth0"), bed.port_id("dc/sw1", "Gi0/3"));
+  must(design->connect(bed.port_id("dc/sw1", "Gi0/1"),
+                       bed.port_id("dc/sw2", "Gi0/1")));
+  must(design->connect(bed.port_id("dc/sw1", "Gi0/2"),
+                       bed.port_id("dc/fw", "inside")));
+  must(design->connect(bed.port_id("dc/fw", "outside"),
+                       bed.port_id("dc/sw2", "Gi0/2")));
+  must(design->connect(bed.port_id("dc/h", "eth0"),
+                       bed.port_id("dc/sw1", "Gi0/3")));
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(1));
+  must(service.reserve(id, now, now + util::Duration::hours(1)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());

@@ -14,6 +14,7 @@
 
 #include "core/autotest.h"
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -44,17 +45,17 @@ Verdict run_chain(std::size_t n) {
   core::DesignId id = service.create_design("nightly", "chain");
   core::TopologyDesign* design = service.design(id);
   for (std::size_t i = 0; i < n; ++i) {
-    design->add_router(bed.router_id("dc/r" + std::to_string(i)));
+    must(design->add_router(bed.router_id("dc/r" + std::to_string(i))));
   }
   // Gi0/1: toward lower neighbour (or subnet A on r0)
   // Gi0/2: toward upper neighbour (or subnet B on r(n-1)); Gi0/3 spare.
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    design->connect(
+    must(design->connect(
         bed.port_id("dc/r" + std::to_string(i), "Gi0/2"),
-        bed.port_id("dc/r" + std::to_string(i + 1), "Gi0/1"));
+        bed.port_id("dc/r" + std::to_string(i + 1), "Gi0/1")));
   }
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(2));
+  must(service.reserve(id, now, now + util::Duration::hours(2)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());
@@ -140,9 +141,9 @@ Verdict run_chain(std::size_t n) {
   verdict.compliant_passed = nightly().passed();
 
   // The topology change: add the shortcut link and redeploy.
-  service.teardown(*deployment);
-  design->connect(bed.port_id("dc/r0", "Gi0/3"),
-                  bed.port_id("dc/r" + std::to_string(n - 1), "Gi0/3"));
+  must(service.teardown(*deployment));
+  must(design->connect(bed.port_id("dc/r0", "Gi0/3"),
+                       bed.port_id("dc/r" + std::to_string(n - 1), "Gi0/3")));
   auto redeploy = service.deploy(id);
   if (!redeploy.ok()) {
     std::fprintf(stderr, "redeploy failed: %s\n", redeploy.error().c_str());

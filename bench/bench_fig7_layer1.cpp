@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 #include "wire/layer1.h"
 
 using namespace rnl;
@@ -85,8 +86,8 @@ PathResult run_tunnel(bool compression) {
   site.set_compression_enabled(compression);
   bed.server().set_compression_enabled(compression);
   bed.join_all();
-  bed.server().connect_ports(bed.port_id("perf/gen", "port1"),
-                             bed.port_id("perf/gen", "port2"));
+  must(bed.server().connect_ports(bed.port_id("perf/gen", "port1"),
+                                  bed.port_id("perf/gen", "port2")));
 
   util::Bytes frame = make_template_frame();
   auto wall_start = std::chrono::steady_clock::now();

@@ -21,6 +21,7 @@
 #include "core/autotest.h"
 #include "core/static_analysis.h"
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -61,9 +62,10 @@ Verdicts evaluate(const devices::Firmware& firmware) {
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("audit", "policy");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("dc/r1"));
-  design->add_router(bed.router_id("dc/r2"));
-  design->connect(bed.port_id("dc/r1", "Gi0/2"), bed.port_id("dc/r2", "Gi0/2"));
+  must(design->add_router(bed.router_id("dc/r1")));
+  must(design->add_router(bed.router_id("dc/r2")));
+  must(design->connect(bed.port_id("dc/r1", "Gi0/2"),
+                       bed.port_id("dc/r2", "Gi0/2")));
   util::SimTime now = bed.net().now();
   (void)service.reserve(id, now, now + util::Duration::hours(1));
   auto deployment = service.deploy(id);

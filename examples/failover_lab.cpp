@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -52,25 +53,25 @@ struct Lab {
     for (const char* name : {"dc1/cat6500-1", "dc1/cat6500-2", "dc1/fwsm-1",
                              "dc1/fwsm-2", "dc1/s2-intranet",
                              "dc1/s1-internet"}) {
-      design->add_router(bed.router_id(name));
+      must(design->add_router(bed.router_id(name)));
     }
     // VLAN 10/11 interconnect between the switches (health monitoring).
-    design->connect(bed.port_id("dc1/cat6500-1", "Gi0/1"),
-                    bed.port_id("dc1/cat6500-2", "Gi0/1"));
+    must(design->connect(bed.port_id("dc1/cat6500-1", "Gi0/1"),
+                         bed.port_id("dc1/cat6500-2", "Gi0/1")));
     // Each FWSM bridges its switch (inside) toward the peer switch
     // (outside) — the redundant path STP must manage.
-    design->connect(bed.port_id("dc1/cat6500-1", "Gi0/2"),
-                    bed.port_id("dc1/fwsm-1", "inside"));
-    design->connect(bed.port_id("dc1/fwsm-1", "outside"),
-                    bed.port_id("dc1/cat6500-2", "Gi0/3"));
+    must(design->connect(bed.port_id("dc1/cat6500-1", "Gi0/2"),
+                         bed.port_id("dc1/fwsm-1", "inside")));
+    must(design->connect(bed.port_id("dc1/fwsm-1", "outside"),
+                         bed.port_id("dc1/cat6500-2", "Gi0/3")));
     // Failover VLAN between the modules.
-    design->connect(bed.port_id("dc1/fwsm-1", "failover"),
-                    bed.port_id("dc1/fwsm-2", "failover"));
+    must(design->connect(bed.port_id("dc1/fwsm-1", "failover"),
+                         bed.port_id("dc1/fwsm-2", "failover")));
     // Servers.
-    design->connect(bed.port_id("dc1/s2-intranet", "eth0"),
-                    bed.port_id("dc1/cat6500-1", "Gi0/4"));
-    design->connect(bed.port_id("dc1/s1-internet", "eth0"),
-                    bed.port_id("dc1/cat6500-2", "Gi0/4"));
+    must(design->connect(bed.port_id("dc1/s2-intranet", "eth0"),
+                         bed.port_id("dc1/cat6500-1", "Gi0/4")));
+    must(design->connect(bed.port_id("dc1/s1-internet", "eth0"),
+                         bed.port_id("dc1/cat6500-2", "Gi0/4")));
 
     intranet->configure(*packet::Ipv4Prefix::parse("10.10.0.1/24"),
                         *packet::Ipv4Address::parse("10.10.0.254"));
@@ -78,7 +79,7 @@ struct Lab {
                         *packet::Ipv4Address::parse("10.10.0.254"));
 
     util::SimTime now = bed.net().now();
-    service.reserve(id, now, now + util::Duration::hours(4));
+    must(service.reserve(id, now, now + util::Duration::hours(4)));
     auto deployment = service.deploy(id);
     if (!deployment.ok()) {
       std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());

@@ -15,6 +15,7 @@
 
 #include "core/autotest.h"
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -104,13 +105,16 @@ int main() {
   core::DesignId id = service.create_design("ops", "fig6-policy");
   core::TopologyDesign* design = service.design(id);
   for (const char* name : {"dc1/R1", "dc1/R2", "dc1/R3", "dc1/R4"}) {
-    design->add_router(bed.router_id(name));
+    must(design->add_router(bed.router_id(name)));
   }
-  design->connect(bed.port_id("dc1/R3", "Gi0/2"), bed.port_id("dc1/R1", "Gi0/1"));
-  design->connect(bed.port_id("dc1/R1", "Gi0/2"), bed.port_id("dc1/R2", "Gi0/2"));
-  design->connect(bed.port_id("dc1/R2", "Gi0/1"), bed.port_id("dc1/R4", "Gi0/2"));
+  must(design->connect(bed.port_id("dc1/R3", "Gi0/2"),
+                       bed.port_id("dc1/R1", "Gi0/1")));
+  must(design->connect(bed.port_id("dc1/R1", "Gi0/2"),
+                       bed.port_id("dc1/R2", "Gi0/2")));
+  must(design->connect(bed.port_id("dc1/R2", "Gi0/1"),
+                       bed.port_id("dc1/R4", "Gi0/2")));
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(8));
+  must(service.reserve(id, now, now + util::Duration::hours(8)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());
@@ -126,8 +130,9 @@ int main() {
   // this is one more design edge + redeploy; routes via the new link make
   // A reach B around the filters.
   std::printf("=== Change: operator adds a direct R3-R4 link ===\n");
-  service.teardown(*deployment);
-  design->connect(bed.port_id("dc1/R3", "Gi0/3"), bed.port_id("dc1/R4", "Gi0/3"));
+  must(service.teardown(*deployment));
+  must(design->connect(bed.port_id("dc1/R3", "Gi0/3"),
+                       bed.port_id("dc1/R4", "Gi0/3")));
   auto redeployment = service.deploy(id);
   if (!redeployment.ok()) {
     std::fprintf(stderr, "redeploy failed: %s\n",

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -24,7 +25,7 @@ int main() {
   // "the bulk of the test equipment is located in a couple of central data
   // centers").
   ris::RouterInterface& dc = bed.add_site("dc1");
-  devices::Ipv4Router& router = bed.add_router(dc, "edge-router", 2);
+  bed.add_router(dc, "edge-router", 2);
   devices::Host& s1 = bed.add_host(dc, "s1");
   devices::Host& s2 = bed.add_host(dc, "s2");
   s1.configure(*packet::Ipv4Prefix::parse("10.1.0.10/24"),
@@ -44,14 +45,14 @@ int main() {
   core::LabService& service = bed.service();
   core::DesignId design_id = service.create_design("alice", "quickstart");
   core::TopologyDesign* design = service.design(design_id);
-  design->add_router(bed.router_id("dc1/edge-router"));
-  design->add_router(bed.router_id("dc1/s1"));
-  design->add_router(bed.router_id("dc1/s2"));
-  design->connect(bed.port_id("dc1/s1", "eth0"),
-                  bed.port_id("dc1/edge-router", "Gi0/1"));
-  design->connect(bed.port_id("dc1/s2", "eth0"),
-                  bed.port_id("dc1/edge-router", "Gi0/2"));
-  service.save_design(design_id);
+  must(design->add_router(bed.router_id("dc1/edge-router")));
+  must(design->add_router(bed.router_id("dc1/s1")));
+  must(design->add_router(bed.router_id("dc1/s2")));
+  must(design->connect(bed.port_id("dc1/s1", "eth0"),
+                       bed.port_id("dc1/edge-router", "Gi0/1")));
+  must(design->connect(bed.port_id("dc1/s2", "eth0"),
+                       bed.port_id("dc1/edge-router", "Gi0/2")));
+  must(service.save_design(design_id));
 
   // Reserve the next free hour for every router in the design.
   util::SimTime start =
@@ -94,8 +95,8 @@ int main() {
   std::printf("\n");
 
   // Archive the validated config for the next session, then tear down.
-  service.save_router_config(router_id);
-  service.teardown(*deployment);
+  must(service.save_router_config(router_id));
+  must(service.teardown(*deployment));
   std::printf("  lab torn down, %llu frames crossed the route server\n",
               static_cast<unsigned long long>(
                   bed.server().stats().frames_routed));

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -72,12 +73,14 @@ int main() {
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("consultant", "virtual-shipping");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("central-lab/netmri-analyzer"));
-  design->add_router(bed.router_id("client-enterprise/client-core-sw"));
-  design->connect(bed.port_id("central-lab/netmri-analyzer", "port1"),
-                  bed.port_id("client-enterprise/client-core-sw", "Gi0/3"));
+  must(design->add_router(bed.router_id("central-lab/netmri-analyzer")));
+  must(design->add_router(bed.router_id("client-enterprise/client-core-sw")));
+  must(design->connect(
+      bed.port_id("central-lab/netmri-analyzer", "port1"),
+      bed.port_id("client-enterprise/client-core-sw", "Gi0/3")));
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(24 * 14));  // 2 weeks
+  // Two weeks.
+  must(service.reserve(id, now, now + util::Duration::hours(24 * 14)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());

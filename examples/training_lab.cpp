@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -26,31 +27,31 @@ void prepare_lessons(core::Testbed& bed) {
   };
   auto with_routers = [&](core::TopologyDesign* design) {
     for (int i = 0; i < 4; ++i) {
-      design->add_router(bed.router_id("trainlab/r" + std::to_string(i)));
+      must(design->add_router(bed.router_id("trainlab/r" + std::to_string(i))));
     }
   };
 
   core::DesignId chain = service.create_design("instructor", "lesson1-chain");
   with_routers(service.design(chain));
-  service.design(chain)->connect(port(0, "Gi0/2"), port(1, "Gi0/1"));
-  service.design(chain)->connect(port(1, "Gi0/2"), port(2, "Gi0/1"));
-  service.design(chain)->connect(port(2, "Gi0/2"), port(3, "Gi0/1"));
-  service.save_design(chain);
+  must(service.design(chain)->connect(port(0, "Gi0/2"), port(1, "Gi0/1")));
+  must(service.design(chain)->connect(port(1, "Gi0/2"), port(2, "Gi0/1")));
+  must(service.design(chain)->connect(port(2, "Gi0/2"), port(3, "Gi0/1")));
+  must(service.save_design(chain));
 
   core::DesignId star = service.create_design("instructor", "lesson2-star");
   with_routers(service.design(star));
-  service.design(star)->connect(port(0, "Gi0/1"), port(1, "Gi0/1"));
-  service.design(star)->connect(port(0, "Gi0/2"), port(2, "Gi0/1"));
-  service.design(star)->connect(port(0, "Gi0/3"), port(3, "Gi0/1"));
-  service.save_design(star);
+  must(service.design(star)->connect(port(0, "Gi0/1"), port(1, "Gi0/1")));
+  must(service.design(star)->connect(port(0, "Gi0/2"), port(2, "Gi0/1")));
+  must(service.design(star)->connect(port(0, "Gi0/3"), port(3, "Gi0/1")));
+  must(service.save_design(star));
 
   core::DesignId ring = service.create_design("instructor", "lesson3-ring");
   with_routers(service.design(ring));
-  service.design(ring)->connect(port(0, "Gi0/2"), port(1, "Gi0/1"));
-  service.design(ring)->connect(port(1, "Gi0/2"), port(2, "Gi0/1"));
-  service.design(ring)->connect(port(2, "Gi0/2"), port(3, "Gi0/1"));
-  service.design(ring)->connect(port(3, "Gi0/2"), port(0, "Gi0/1"));
-  service.save_design(ring);
+  must(service.design(ring)->connect(port(0, "Gi0/2"), port(1, "Gi0/1")));
+  must(service.design(ring)->connect(port(1, "Gi0/2"), port(2, "Gi0/1")));
+  must(service.design(ring)->connect(port(2, "Gi0/2"), port(3, "Gi0/1")));
+  must(service.design(ring)->connect(port(3, "Gi0/2"), port(0, "Gi0/1")));
+  must(service.save_design(ring));
 }
 
 }  // namespace
@@ -108,7 +109,7 @@ int main() {
                 version.substr(0, cut == std::string::npos ? version.size()
                                                            : cut)
                     .c_str());
-    service.teardown(*deployment);
+    must(service.teardown(*deployment));
   }
 
   std::printf(

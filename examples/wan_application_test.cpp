@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "core/testbed.h"
+#include "must.h"
 
 using namespace rnl;
 
@@ -66,13 +67,13 @@ int main() {
   core::LabService& service = bed.service();
   core::DesignId id = service.create_design("dev", "app-under-wan");
   core::TopologyDesign* design = service.design(id);
-  design->add_router(bed.router_id("applab/client"));
-  design->add_router(bed.router_id("applab/appserver"));
+  must(design->add_router(bed.router_id("applab/client")));
+  must(design->add_router(bed.router_id("applab/appserver")));
   wire::PortId client_port = bed.port_id("applab/client", "eth0");
   wire::PortId server_port = bed.port_id("applab/appserver", "eth0");
-  design->connect(client_port, server_port);  // clean LAN wire first
+  must(design->connect(client_port, server_port));  // clean LAN wire first
   util::SimTime now = bed.net().now();
-  service.reserve(id, now, now + util::Duration::hours(8));
+  must(service.reserve(id, now, now + util::Duration::hours(8)));
   auto deployment = service.deploy(id);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", deployment.error().c_str());
@@ -95,9 +96,9 @@ int main() {
       {"intercontinental", wire::NetemProfile::intercontinental()},
   };
   for (const auto& scenario : scenarios) {
-    service.teardown(*deployment);
-    design->disconnect(client_port);
-    design->connect(client_port, server_port, scenario.profile);
+    must(service.teardown(*deployment));
+    must(design->disconnect(client_port));
+    must(design->connect(client_port, server_port, scenario.profile));
     deployment = service.deploy(id);
     if (!deployment.ok()) {
       std::fprintf(stderr, "redeploy failed: %s\n",

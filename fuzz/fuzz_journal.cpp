@@ -70,7 +70,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::uint64_t last_seq = 0;
   {
     JournalStore store(root.string(), nullptr,
-                       {/*compact_every=*/0, /*fsync=*/false});
+                       {/*fsync=*/false});
     recovered = dump_kv(store);
     last_seq = store.last_sequence();
     if (last_seq >= UINT64_MAX - 2) {
@@ -84,7 +84,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
   {
     JournalStore again(root.string(), nullptr,
-                       {/*compact_every=*/0, /*fsync=*/false});
+                       {/*fsync=*/false});
     FUZZ_ASSERT(again.stats().torn_tail_truncations == 0);
     FUZZ_ASSERT(again.stats().quarantined_records == 0);
     FUZZ_ASSERT(again.last_sequence() > last_seq);  // probe got a seq

@@ -241,7 +241,6 @@ class FleetSoak {
   void build_server() {
     JournalStore::Options store_options;
     store_options.fsync = opt_.fsync;
-    store_options.compact_every = opt_.compact_every;
     store_ = std::make_unique<JournalStore>(opt_.store_root, nullptr,
                                             store_options);
     register_epoch_stream();

@@ -64,8 +64,6 @@ struct FleetOptions {
   /// and recovery logic, not disk latency; the kill-point matrix test
   /// covers durability.
   bool fsync = false;
-  /// Journal auto-compaction interval (events between snapshots).
-  std::size_t compact_every = 512;
 
   // Server knobs, scaled for virtual time.
   util::Duration keepalive{util::Duration::milliseconds(500)};

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -159,6 +160,7 @@ void JournalStore::recover() {
     util::Result<util::Json> snapshot = util::Json::parse(snapshot_text);
     if (snapshot.ok() && snapshot->is_object()) {
       snapshot_seq_ = static_cast<std::uint64_t>((*snapshot)["seq"].as_int());
+      snapshot_bytes_ = snapshot_text.size();
       seq_ = snapshot_seq_;
       const util::Json& streams = (*snapshot)["streams"];
       for (const auto& [name, entry] : streams.as_object()) {
@@ -259,6 +261,13 @@ util::Status JournalStore::open_log_for_append() {
 
 util::Status JournalStore::append_record(const std::string& stream,
                                          const util::Json& event) {
+  // Compact before logging, while the in-memory state holds exactly the
+  // records logged so far: put() and remove() apply their event only after
+  // this append returns.
+  if (journal_bytes_ > std::max(kCompactionFloorBytes, snapshot_bytes_)) {
+    util::Status compacted = compact();
+    if (!compacted.ok()) return compacted;
+  }
   util::Status open_status = open_log_for_append();
   if (!open_status.ok()) return open_status;
   util::Json payload = util::Json::object();
@@ -282,11 +291,6 @@ util::Status JournalStore::append_record(const std::string& stream,
   ++seq_;
   journal_bytes_ += encoded.size();
   ++stats_.events_appended;
-  ++appends_since_compact_;
-  if (options_.compact_every != 0 &&
-      appends_since_compact_ >= options_.compact_every) {
-    return compact();
-  }
   return util::Status::Ok();
 }
 
@@ -325,10 +329,11 @@ util::Json JournalStore::snapshot_json() const {
 }
 
 util::Status JournalStore::compact() {
-  util::Status status =
-      fsutil::write_file_durable(snapshot_path(), snapshot_json().dump());
+  const std::string snapshot = snapshot_json().dump();
+  util::Status status = fsutil::write_file_durable(snapshot_path(), snapshot);
   if (!status.ok()) return status;
   snapshot_seq_ = seq_;
+  snapshot_bytes_ = snapshot.size();
   // Truncate the journal: records at or below snapshot_seq_ are now in the
   // snapshot. A crash right before this truncate is safe — those records
   // replay as stale and are skipped.
@@ -344,7 +349,6 @@ util::Status JournalStore::compact() {
   }
   ::close(fd);
   journal_bytes_ = 0;
-  appends_since_compact_ = 0;
   ++stats_.compactions;
   return open_log_for_append();
 }

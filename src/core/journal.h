@@ -7,8 +7,9 @@
 // epochs) is small but mutates under churn: thousands of sites reserving,
 // deploying, and rejoining. Rewriting whole documents per mutation is both
 // slow and torn-write prone; the JournalStore instead appends one
-// checksummed record per mutation to a write-ahead journal and periodically
-// compacts the log into a snapshot written with temp-file + rename + fsync.
+// checksummed record per mutation to a write-ahead journal and compacts the
+// log into a snapshot (temp-file + rename + fsync) once the log outgrows the
+// last snapshot.
 //
 // Record wire format (big-endian, like every RNL wire), one per mutation:
 //
@@ -108,13 +109,16 @@ class Journal {
 class JournalStore {
  public:
   struct Options {
-    /// Auto-compact after this many appended events (0 = only explicit
-    /// compact() calls).
-    std::size_t compact_every = 256;
     /// fsync each append and snapshot. Tests and the simulated soak can
     /// turn this off; production keeps it on.
     bool fsync = true;
   };
+
+  /// An append compacts first when the log holds more bytes than the last
+  /// snapshot and more than this floor. Each snapshot byte is then paid
+  /// for by at least one logged byte, so compaction costs amortized O(1)
+  /// per appended byte however large the state grows.
+  static constexpr std::uint64_t kCompactionFloorBytes = 64 * 1024;
 
   struct StreamHooks {
     /// Full current state, reduced for the snapshot.
@@ -241,7 +245,8 @@ class JournalStore {
 
   std::uint64_t seq_ = 0;
   std::uint64_t snapshot_seq_ = 0;
-  std::size_t appends_since_compact_ = 0;
+  /// Size of the last snapshot written or recovered (0: none).
+  std::uint64_t snapshot_bytes_ = 0;
   std::uint64_t journal_bytes_ = 0;
   int log_fd_ = -1;
 };

@@ -13,7 +13,12 @@ constexpr const char* kLog = "labservice";
 }
 
 LabService::LabService(simnet::Network& net, routeserver::RouteServer& server)
-    : net_(net), server_(server) {
+    : net_(net),
+      server_(server),
+      expiry_sweep_(net.scheduler(), [this] {
+        expire_now();
+        expiry_sweep_.arm_after(util::Duration::minutes(1));
+      }) {
   server_.set_console_output_handler(
       [this](wire::RouterId router, util::BytesView bytes) {
         console_logs_[router].append(bytes.begin(), bytes.end());
@@ -44,17 +49,7 @@ LabService::LabService(simnet::Network& net, routeserver::RouteServer& server)
     }
   });
   // Housekeeping: reservation expiry sweep once per simulated minute.
-  auto sweep = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = sweep;
-  *sweep = [this, weak] {
-    // The weak token expires with the LabService; never touch `this` after.
-    auto self = weak.lock();
-    if (!self) return;
-    expire_now();
-    net_.scheduler().schedule_after(util::Duration::minutes(1), *self);
-  };
-  sweeper_ = sweep;
-  net_.scheduler().schedule_after(util::Duration::minutes(1), *sweep);
+  expiry_sweep_.arm_after(util::Duration::minutes(1));
 }
 
 LabService::~LabService() {
@@ -407,7 +402,7 @@ util::Status LabService::start_traffic_stream(wire::PortId port,
     return util::Error{"traffic stream: unknown port id"};
   }
   if (count == 0) return util::Status::Ok();
-  std::weak_ptr<std::function<void()>> service_alive = sweeper_;
+  std::weak_ptr<const bool> service_alive = alive_;
   for (std::uint32_t i = 0; i < count; ++i) {
     net_.scheduler().schedule_after(
         interval * static_cast<std::int64_t>(i),

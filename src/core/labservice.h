@@ -170,8 +170,10 @@ class LabService {
   JournalStore::StreamRegistration reservations_stream_;
   DesignId next_design_id_ = 1;
   DeploymentId next_deployment_id_ = 1;
-  // Keeps the periodic expiry sweep alive; destroying the service stops it.
-  std::shared_ptr<std::function<void()>> sweeper_;
+  /// Expires reservations once per simulated minute.
+  simnet::Timer expiry_sweep_;
+  /// Expires with the service, so queued traffic-stream frames stop.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 }  // namespace rnl::core

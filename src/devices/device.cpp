@@ -8,13 +8,7 @@ Device::Device(simnet::Network& net, std::string name, Firmware firmware)
     : net_(net),
       scheduler_(net.scheduler()),
       name_(std::move(name)),
-      firmware_(std::move(firmware)),
-      timer_epoch_(std::make_shared<int>(0)) {}
-
-Device::~Device() {
-  // Orphan outstanding timers.
-  timer_epoch_.reset();
-}
+      firmware_(std::move(firmware)) {}
 
 void Device::flash_firmware(const Firmware& firmware) {
   firmware_ = firmware;
@@ -51,7 +45,7 @@ void Device::power_off() {
   powered_ = false;
   // Cancel timers and drop dynamic state; admin port state is configuration
   // and survives, but a powered-off device has no carrier.
-  timer_epoch_ = std::make_shared<int>(*timer_epoch_ + 1);
+  power_token_ = std::make_shared<const bool>(true);
   periodic_timers_.clear();
   for (auto* port : ports_) port->set_up(false);
   on_reset();
@@ -90,30 +84,22 @@ simnet::Port& Device::add_port(const std::string& ifname) {
 
 void Device::schedule_periodic(util::Duration period,
                                std::function<void()> fn) {
-  auto tick = std::make_shared<std::function<void()>>();
-  periodic_timers_.push_back(tick);
-  std::weak_ptr<std::function<void()>> weak = tick;
-  std::weak_ptr<int> epoch = timer_epoch_;
-  int armed_generation = *timer_epoch_;
-  *tick = [this, weak, epoch, armed_generation, period, fn = std::move(fn)] {
-    auto self = weak.lock();
-    if (!self) return;  // device destroyed or power-cycled
-    auto alive = epoch.lock();
-    if (!alive || *alive != armed_generation) return;
-    fn();
-    scheduler_.schedule_after(period, *self);
-  };
-  scheduler_.schedule_after(period, *tick);
+  const std::size_t slot = periodic_timers_.size();
+  std::weak_ptr<const bool> powered = power_token_;
+  periodic_timers_.push_back(std::make_unique<simnet::Timer>(
+      scheduler_, [this, slot, powered, period, fn = std::move(fn)] {
+        fn();
+        // A tick that power-cycled the device has dropped this Timer.
+        if (!powered.expired()) periodic_timers_[slot]->arm_after(period);
+      }));
+  periodic_timers_[slot]->arm_after(period);
 }
 
 void Device::schedule_once(util::Duration delay, std::function<void()> fn) {
-  std::weak_ptr<int> epoch = timer_epoch_;
-  int armed_generation = *timer_epoch_;
   scheduler_.schedule_after(
-      delay, [epoch, armed_generation, fn = std::move(fn)] {
-        auto alive = epoch.lock();
-        if (!alive || *alive != armed_generation) return;
-        fn();
+      delay, [powered = std::weak_ptr<const bool>(power_token_),
+              fn = std::move(fn)] {
+        if (!powered.expired()) fn();
       });
 }
 

@@ -26,7 +26,7 @@ namespace rnl::devices {
 class Device {
  public:
   Device(simnet::Network& net, std::string name, Firmware firmware);
-  virtual ~Device();
+  virtual ~Device() = default;
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
@@ -87,11 +87,12 @@ class Device {
   bool powered_ = true;
   std::vector<simnet::Port*> ports_;
   std::vector<std::string> port_names_;
-  // Epoch token: bumping it cancels all outstanding timers (power cycle).
-  std::shared_ptr<int> timer_epoch_;
-  // The device owns its periodic tick functions; scheduled copies hold only
-  // weak references (no self-cycle, no leak). Cleared on power-off.
-  std::vector<std::shared_ptr<std::function<void()>>> periodic_timers_;
+  // Replaced at power-off and dropped at destruction; one-shots and ticks
+  // hold it weakly and stop once it expires.
+  std::shared_ptr<const bool> power_token_ =
+      std::make_shared<const bool>(true);
+  // The periodic ticks, cleared on power-off.
+  std::vector<std::unique_ptr<simnet::Timer>> periodic_timers_;
 };
 
 }  // namespace rnl::devices

@@ -22,6 +22,16 @@ RouterInterface::RouterInterface(simnet::Network& net, std::string site_name,
     : net_(net),
       site_name_(std::move(site_name)),
       jitter_rng_(util::derive_seed(net.scheduler().seed(), site_name_)),
+      uplink_flush_(net.scheduler(), [this] { flush_uplink(); }),
+      keepalive_(net.scheduler(),
+                 [this] {
+                   if (!transport_ || !transport_->is_open()) return;
+                   wire::TunnelMessage keepalive;
+                   keepalive.type = wire::MessageType::kKeepalive;
+                   send_message(keepalive, false);
+                   keepalive_.arm_after(keepalive_interval_);
+                 }),
+      reconnect_(net.scheduler(), [this] { attempt_reconnect(); }),
       metrics_(metrics != nullptr ? metrics : &util::MetricsRegistry::global()),
       metrics_prefix_("ris." + site_name_ + ".") {
   auto expose = [this](const char* field, const std::uint64_t* value) {
@@ -236,25 +246,11 @@ void RouterInterface::start_session(
   // No uplink batch is open (reset above), so nothing needs flushing first.
   if (transport_->is_open()) transport_->send(join_wire_);
 
-  // Heartbeat loop so the server can tell a silent site from a dead one.
-  // The loop function is owned by the member; scheduled copies hold only a
-  // weak reference, so destroying the RIS cancels the loop (and nothing
-  // leaks through a self-reference cycle). Cancel-and-replace: a reconnect
-  // must not leave the previous session's loop beating alongside this one.
-  keepalive_loop_.reset();
-  keepalive_loop_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = keepalive_loop_;
-  *keepalive_loop_ = [this, weak] {
-    auto self = weak.lock();
-    if (!self) return;
-    if (transport_ && transport_->is_open()) {
-      wire::TunnelMessage keepalive;
-      keepalive.type = wire::MessageType::kKeepalive;
-      send_message(keepalive, false);
-      net_.scheduler().schedule_after(keepalive_interval_, *self);
-    }
-  };
-  net_.scheduler().schedule_after(keepalive_interval_, *keepalive_loop_);
+  // Heartbeat so the server can tell a silent site from a dead one. A
+  // reconnect must not leave the previous session's beat running alongside
+  // this one.
+  keepalive_.cancel();
+  keepalive_.arm_after(keepalive_interval_);
 }
 
 void RouterInterface::on_tunnel_lost() {
@@ -301,14 +297,8 @@ void RouterInterface::schedule_reconnect() {
           ? grown
           : reconnect_policy_.max_backoff.nanos;
 
-  reconnect_task_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = reconnect_task_;
-  *reconnect_task_ = [this, weak] {
-    auto self = weak.lock();
-    if (!self) return;
-    attempt_reconnect();
-  };
-  net_.scheduler().schedule_after(delay, *reconnect_task_);
+  reconnect_.cancel();  // one dial pending at a time
+  reconnect_.arm_after(delay);
 }
 
 void RouterInterface::attempt_reconnect() {
@@ -325,7 +315,7 @@ void RouterInterface::attempt_reconnect() {
 
 void RouterInterface::leave() {
   leaving_ = true;
-  reconnect_task_.reset();  // cancels any dial already scheduled
+  reconnect_.cancel();  // drops any dial already scheduled
   in_outage_ = false;
   if (transport_ && transport_->is_open()) {
     wire::TunnelMessage msg;
@@ -378,21 +368,6 @@ void RouterInterface::flush_uplink() {
   send_buffer_.clear();
 }
 
-void RouterInterface::schedule_uplink_flush() {
-  // Zero-delay task: the scheduler runs same-timestamp events in insertion
-  // order, so this fires after every capture already queued at the current
-  // instant — the whole burst coalesces, and simulated time never passes
-  // between capture and flush.
-  if (!uplink_flush_task_) {
-    uplink_flush_task_ = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> weak = uplink_flush_task_;
-    *uplink_flush_task_ = [this, weak] {
-      if (weak.lock()) flush_uplink();
-    };
-  }
-  net_.scheduler().schedule_after(util::Duration{}, *uplink_flush_task_);
-}
-
 void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
                                 util::BytesView frame,
                                 std::uint64_t trace_id) {
@@ -431,13 +406,17 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   if (!grew && !compression_enabled_) ++stats_.fast_path_frames;
   ++pending_uplink_frames_;
   if (uplink_batch_trace_id_ == 0) uplink_batch_trace_id_ = trace_id;
-  // Only the append that opens a batch arms the end-of-burst task: one
+  // Only the append that opens a batch arms the end-of-burst flush: one
   // scheduler event per batch, none for a batch the caps already flushed.
+  // The scheduler runs same-timestamp events in insertion order, so the
+  // zero-delay flush fires after every capture already queued at this
+  // instant: the whole burst coalesces, and no simulated time passes
+  // between capture and flush.
   if (pending_uplink_frames_ >= kUplinkBatchFrames ||
       w.size() >= kUplinkBatchBytes) {
     flush_uplink();
   } else if (pending_uplink_frames_ == 1) {
-    schedule_uplink_flush();
+    uplink_flush_.arm_after(util::Duration{});
   }
 }
 

@@ -229,8 +229,6 @@ class RouterInterface {
   /// Hands the open uplink batch (if any) to the transport in one write.
   /// No-op on an empty batch; discards it if the tunnel is gone.
   void flush_uplink();
-  /// Arms the zero-delay end-of-burst flush task (once per open batch).
-  void schedule_uplink_flush();
   void on_transport_data(util::BytesView chunk);
   void handle_message(const wire::MessageDecoder::DecodedView& decoded);
   void on_nic_frame(std::size_t router_index, std::size_t port_slot,
@@ -271,13 +269,14 @@ class RouterInterface {
   /// Trace id of the first traced frame in the open uplink batch (0 if
   /// none); the flush span is attributed to it. Reset with the batch.
   std::uint64_t uplink_batch_trace_id_ = 0;
-  // Owns the end-of-burst flush; scheduled copies hold weak references so
-  // destruction cancels any armed flush.
-  std::shared_ptr<std::function<void()>> uplink_flush_task_;
+  /// The zero-delay end-of-burst flush, armed by each append that opens a
+  /// batch.
+  simnet::Timer uplink_flush_;
   bool joined_ = false;
   util::Duration keepalive_interval_{util::Duration::seconds(10)};
-  // Owns the heartbeat loop; scheduled copies hold weak references.
-  std::shared_ptr<std::function<void()>> keepalive_loop_;
+  /// The heartbeat: sends a keepalive and re-arms while the tunnel is open.
+  /// Each session cancels and re-arms it.
+  simnet::Timer keepalive_;
   // -- Reconnect state machine --
   TransportFactory transport_factory_;
   ReconnectPolicy reconnect_policy_;
@@ -292,9 +291,8 @@ class RouterInterface {
   bool in_outage_ = false;
   int attempts_this_outage_ = 0;
   util::Duration current_backoff_{};
-  // Owns the pending dial; the scheduled copy holds a weak reference, so
-  // leave()/destruction cancels it.
-  std::shared_ptr<std::function<void()>> reconnect_task_;
+  /// The pending dial; leave() cancels it.
+  simnet::Timer reconnect_;
   RisStats stats_;
   // Observability: stats_ stays the single-writer hot-path ledger; the
   // registry reads it through "ris.<site>."-prefixed probes at dump time.

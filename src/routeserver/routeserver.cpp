@@ -14,6 +14,7 @@ constexpr const char* kLog = "routeserver";
 RouteServer::RouteServer(simnet::Scheduler& scheduler,
                          util::MetricsRegistry* metrics)
     : scheduler_(scheduler),
+      liveness_sweep_(scheduler, [this] { sweep_liveness(); }),
       metrics_(metrics != nullptr ? metrics
                                   : &util::MetricsRegistry::global()) {
   forward_hist_ = &metrics_->histogram("routeserver.forward_ns");
@@ -309,49 +310,45 @@ void RouteServer::on_site_drained(Site* site) {
 
 void RouteServer::set_liveness_timeout(util::Duration timeout) {
   liveness_timeout_ = timeout;
-  liveness_loop_.reset();  // cancels any previous sweep
-  if (timeout.nanos <= 0) return;
-  liveness_loop_ = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = liveness_loop_;
-  *liveness_loop_ = [this, weak] {
-    auto self = weak.lock();
-    if (!self) return;
-    // Collect first, act after: close() fires the close handler (which runs
-    // remove_site) synchronously, and a handler further down the chain may
-    // reenter the server while this loop is mid-iteration over sites_.
-    // Site objects themselves stay alive until purge_dead_sites(), so the
-    // collected pointers remain valid.
-    std::vector<Site*> timed_out;
-    std::vector<std::pair<Site*, EgressVerdict>> overloaded_sites;
-    for (auto& site : sites_) {
-      if (site->dead || !site->joined) continue;
-      if (scheduler_.now() - site->last_heard > liveness_timeout_) {
-        RNL_LOG(kWarn, kLog) << "site '" << site->name
-                             << "' silent beyond the liveness timeout";
-        timed_out.push_back(site.get());
-        continue;
-      }
-      // The stall deadline rides the same sweep: a site that went quiet on
-      // the *egress* side (still sending keepalives, so never timed out
-      // above) is evicted here even if no new frame probes its verdict.
-      EgressVerdict verdict = egress_verdict(site.get());
-      if (verdict == EgressVerdict::kEvictHardCap ||
-          verdict == EgressVerdict::kEvictStalled) {
-        overloaded_sites.emplace_back(site.get(), verdict);
-      }
+  liveness_sweep_.cancel();  // drops any previous sweep
+  if (timeout.nanos > 0) liveness_sweep_.arm_after(liveness_timeout_ / 4);
+}
+
+void RouteServer::sweep_liveness() {
+  // Collect first, act after: close() fires the close handler (which runs
+  // remove_site) synchronously, and a handler further down the chain may
+  // reenter the server while this loop is mid-iteration over sites_.
+  // Site objects themselves stay alive until purge_dead_sites(), so the
+  // collected pointers remain valid.
+  std::vector<Site*> timed_out;
+  std::vector<std::pair<Site*, EgressVerdict>> overloaded_sites;
+  for (auto& site : sites_) {
+    if (site->dead || !site->joined) continue;
+    if (scheduler_.now() - site->last_heard > liveness_timeout_) {
+      RNL_LOG(kWarn, kLog) << "site '" << site->name
+                           << "' silent beyond the liveness timeout";
+      timed_out.push_back(site.get());
+      continue;
     }
-    for (Site* site : timed_out) {
-      if (!site->dead) site->transport->close();  // marks it dead
+    // The stall deadline rides the same sweep: a site that went quiet on
+    // the *egress* side (still sending keepalives, so never timed out
+    // above) is evicted here even if no new frame probes its verdict.
+    EgressVerdict verdict = egress_verdict(site.get());
+    if (verdict == EgressVerdict::kEvictHardCap ||
+        verdict == EgressVerdict::kEvictStalled) {
+      overloaded_sites.emplace_back(site.get(), verdict);
     }
-    for (auto& [site, verdict] : overloaded_sites) {
-      evict_for_overload(site, verdict);
-    }
-    // Retention rides the same sweep: parked identities that never rejoined
-    // must not hold inventory (and wires) forever under fleet churn.
-    forget_expired_retained(scheduler_.now());
-    scheduler_.schedule_after(liveness_timeout_ / 4, *self);
-  };
-  scheduler_.schedule_after(liveness_timeout_ / 4, *liveness_loop_);
+  }
+  for (Site* site : timed_out) {
+    if (!site->dead) site->transport->close();  // marks it dead
+  }
+  for (auto& [site, verdict] : overloaded_sites) {
+    evict_for_overload(site, verdict);
+  }
+  // Retention rides the same sweep: parked identities that never rejoined
+  // must not hold inventory (and wires) forever under fleet churn.
+  forget_expired_retained(scheduler_.now());
+  liveness_sweep_.arm_after(liveness_timeout_ / 4);
 }
 
 std::size_t RouteServer::retained_site_count() const {

@@ -494,7 +494,11 @@ class RouteServer {
   /// contexts where no site transport callback can be on the stack
   /// (accept, destruction).
   void purge_dead_sites();
-  /// Retention sweep (rides the liveness loop): drops retained inventory —
+  /// The liveness sweep, every liveness_timeout_/4 while a timeout is set:
+  /// closes silent sites, evicts stalled or over-cap ones, and runs the
+  /// retention sweep.
+  void sweep_liveness();
+  /// Retention sweep (rides the liveness sweep): drops retained inventory —
   /// and tears down its surviving wires — for identities parked longer
   /// than the retention deadline. next_epoch entries are kept (tiny, and
   /// the basis of the stale-frame gate).
@@ -554,6 +558,8 @@ class RouteServer {
   }
 
   simnet::Scheduler& scheduler_;
+  /// Runs sweep_liveness(); set_liveness_timeout cancels and re-arms it.
+  simnet::Timer liveness_sweep_;
   /// Every site not yet freed, in no particular order (swap-remove).
   std::vector<std::unique_ptr<Site>> sites_;
   /// Sites removed since the last purge, each queued once by remove_site.
@@ -591,8 +597,6 @@ class RouteServer {
   util::Duration liveness_timeout_{};
   util::Duration retention_deadline_{kDefaultRetentionDeadline};
   EpochObserver epoch_observer_;
-  // Owns the liveness sweep loop; scheduled copies hold weak references.
-  std::shared_ptr<std::function<void()>> liveness_loop_;
   wire::RouterId next_router_id_ = 1;
   wire::PortId next_port_id_ = 1;
   /// Id allocation stride (set_id_allocation): 1 on an unsharded server.

@@ -91,9 +91,9 @@ ShardedRouteServer::ShardedRouteServer(Options options)
       shard->server->set_tracer(options_.tracer,
                                 "shard" + std::to_string(s));
     }
-    shard->inbound.reserve(n);
+    shard->inbound.resize(n);
     for (std::size_t p = 0; p < n; ++p) {
-      shard->inbound.push_back(std::make_unique<WireRing>());
+      if (p != s) shard->inbound[p] = std::make_unique<WireRing>();
     }
     shards_.push_back(std::move(shard));
   }
@@ -105,6 +105,7 @@ ShardedRouteServer::ShardedRouteServer(Options options)
     shards_[s]->server->set_remote_wire_handlers(
         [this, s](wire::PortId dst, util::BytesView frame,
                   std::uint64_t trace_id) {
+          RNL_DCHECK(shard_of_port(dst) != s);
           WireRing& link = *shards_[shard_of_port(dst)]->inbound[s];
           CrossShardFrame out{.dst_port = dst, .trace_id = trace_id};
           // A buffer the consumer sent back, or none yet (cold start).
@@ -347,7 +348,9 @@ std::size_t ShardedRouteServer::wire_count() {
 std::uint64_t ShardedRouteServer::cross_shard_ring_drops() const {
   std::uint64_t drops = 0;
   for (const auto& shard : shards_) {
-    for (const auto& link : shard->inbound) drops += link->frames.dropped();
+    for (const auto& link : shard->inbound) {
+      if (link) drops += link->frames.dropped();
+    }
   }
   return drops;
 }
@@ -396,6 +399,7 @@ std::size_t ShardedRouteServer::drain_wires(std::size_t s) {
   std::size_t drained = 0;
   CrossShardFrame frame;
   for (auto& link : shard.inbound) {
+    if (!link) continue;  // the shard's own index
     while (link->frames.pop(frame)) {
       shard.server->deliver_remote(frame.dst_port, frame.bytes,
                                    frame.trace_id, frame.copy_allocated);

@@ -199,7 +199,8 @@ class ShardedRouteServer {
     simnet::Scheduler* scheduler = nullptr;
     std::unique_ptr<util::MetricsRegistry> metrics;
     std::unique_ptr<RouteServer> server;
-    /// inbound[p]: the wire from producer shard p.
+    /// inbound[p]: the wire from producer shard p; null for the shard's
+    /// own index, since a frame only takes a wire when it crosses shards.
     std::vector<std::unique_ptr<WireRing>> inbound;
     std::mutex command_mutex;
     std::deque<std::function<void()>> commands;

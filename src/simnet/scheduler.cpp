@@ -41,4 +41,14 @@ std::size_t Scheduler::run_all(std::size_t max_events) {
   return executed;
 }
 
+void Timer::arm_after(Duration delay) {
+  scheduler_.schedule_after(
+      delay, [owner = std::weak_ptr<State>(state_),
+              generation = state_->generation] {
+        // The strong reference lets the callback destroy its own Timer.
+        std::shared_ptr<State> state = owner.lock();
+        if (state && state->generation == generation) state->callback();
+      });
+}
+
 }  // namespace rnl::simnet

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "util/rng.h"
@@ -42,9 +43,10 @@ class Scheduler {
   std::size_t run_until(SimTime deadline);
   std::size_t run_for(Duration duration) { return run_until(now_ + duration); }
   /// Runs until the queue drains (bounded by `max_events` as a runaway
-  /// stop). CAUTION: self-rescheduling periodic timers (device hellos, the
-  /// lab service's expiry sweep) never drain — with such timers armed,
-  /// prefer run_for/run_until.
+  /// stop). CAUTION: a Timer whose callback re-arms it (device ticks, RIS
+  /// keepalives, the route server's liveness sweep, the lab service's
+  /// expiry sweep) never drains; while one is armed, prefer
+  /// run_for/run_until.
   std::size_t run_all(std::size_t max_events = 10'000'000);
 
   [[nodiscard]] bool empty() const { return queue_.empty(); }
@@ -74,6 +76,35 @@ class Scheduler {
   /// (when, seq) sits at the front.
   std::vector<Event> queue_;
   util::Rng rng_;
+};
+
+/// An owner-held callback that `scheduler` fires. Each arm_after() queues
+/// one firing; cancel() drops every firing queued so far, and so does
+/// destroying the Timer. Queued events hold only a weak reference, so the
+/// callback and everything it captures die with the Timer. The callback may
+/// re-arm, cancel or destroy its own Timer: a firing keeps the callback
+/// alive until it returns. A dropped firing still pops at its (when, seq)
+/// and counts as an executed event, like any other.
+class Timer {
+ public:
+  Timer(Scheduler& scheduler, Scheduler::Action callback)
+      : scheduler_(scheduler),
+        state_(std::make_shared<State>(State{std::move(callback), 0})) {}
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  void arm_after(Duration delay);
+  void cancel() { ++state_->generation; }
+
+ private:
+  struct State {
+    Scheduler::Action callback;
+    /// Bumped by cancel(); a firing runs only if armed at the current one.
+    std::uint64_t generation;
+  };
+
+  Scheduler& scheduler_;
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace rnl::simnet

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,6 @@ void write_file(const std::string& path, std::string_view bytes) {
 JournalStore::Options no_fsync() {
   JournalStore::Options options;
   options.fsync = false;
-  options.compact_every = 0;
   return options;
 }
 
@@ -331,20 +331,48 @@ TEST(JournalStreams, RegisteredStreamReplaysSnapshotThenTail) {
 
 TEST(JournalStreams, AutoCompactionKeepsTheLogBounded) {
   TempDir dir;
-  JournalStore::Options options;
-  options.fsync = false;
-  options.compact_every = 4;
-  JournalStore store(dir.path(), nullptr, options);
-  for (int i = 0; i < 11; ++i) {
-    ASSERT_TRUE(store.put("k" + std::to_string(i % 3), Json(i)).ok());
+  auto store = std::make_unique<JournalStore>(dir.path(), nullptr, no_fsync());
+  auto log_size = [&] {
+    return std::filesystem::file_size(store->journal_path());
+  };
+  auto log_records = [&] {
+    return Journal::scan(read_file(store->journal_path())).records.size();
+  };
+  const Json small(std::string(1000, 's'));
+  // Nothing compacts while the log stays within the floor.
+  while (log_size() <= JournalStore::kCompactionFloorBytes) {
+    ASSERT_EQ(store->stats().compactions, 0u);
+    ASSERT_TRUE(store->put("small", small).ok());
   }
-  EXPECT_GE(store.stats().compactions, 2u);
-  // The live log holds only the tail since the last compaction.
-  Journal::ScanResult scanned =
-      Journal::scan(read_file(store.journal_path()));
-  EXPECT_LT(scanned.records.size(), 4u);
-  JournalStore reopened(dir.path(), nullptr, options);
-  EXPECT_EQ(reopened.get("k1")->as_int(), 10);
+  EXPECT_EQ(store->stats().compactions, 0u);
+  // The first append that finds the log past the floor compacts, then
+  // starts the fresh log with its own record, which a reopen replays.
+  ASSERT_TRUE(store->put("edge", small).ok());
+  EXPECT_EQ(store->stats().compactions, 1u);
+  EXPECT_EQ(log_records(), 1u);
+
+  // A snapshot larger than the floor raises the bar to its own size, and a
+  // reopened store reads that size back from the snapshot it recovers.
+  ASSERT_TRUE(store->put("big", Json(std::string(128 * 1024, 'b'))).ok());
+  ASSERT_TRUE(store->put("small", small).ok());
+  EXPECT_EQ(store->stats().compactions, 2u);
+  const std::uintmax_t snapshot =
+      std::filesystem::file_size(store->snapshot_path());
+  ASSERT_GT(snapshot, JournalStore::kCompactionFloorBytes);
+  store = std::make_unique<JournalStore>(dir.path(), nullptr, no_fsync());
+  while (log_size() <= snapshot) {
+    ASSERT_EQ(store->stats().compactions, 0u);
+    ASSERT_TRUE(store->put("small", small).ok());
+  }
+  EXPECT_EQ(store->stats().compactions, 0u);
+  ASSERT_TRUE(store->put("small", small).ok());
+  EXPECT_EQ(store->stats().compactions, 1u);
+  EXPECT_EQ(log_records(), 1u);
+
+  JournalStore reopened(dir.path(), nullptr, no_fsync());
+  EXPECT_TRUE(reopened.get("edge").ok());
+  ASSERT_TRUE(reopened.get("big").ok());
+  EXPECT_EQ(reopened.get("big")->as_string().size(), 128u * 1024);
 }
 
 TEST(JournalPersistence, ReservationsSurviveServiceRestartViaJournal) {

@@ -640,6 +640,46 @@ TEST_F(RnlStack, ReconnectGivesUpAfterTheAttemptBudget) {
   EXPECT_EQ(site1.stats().reconnects, 0u);
 }
 
+// Both tests cut the tunnel of a joined site whose factory counts dials,
+// then end the site 100 ms into its first backoff (500 ms +/- 20%).
+TEST_F(RnlStack, LeaveDuringReconnectBackoffNeverDials) {
+  transport::SimLinkFault fault;
+  join_with_fault(site1, fault);
+  ASSERT_TRUE(site1.joined());
+  int dials = 0;
+  site1.set_transport_factory([&dials] {
+    ++dials;
+    return std::unique_ptr<transport::Transport>();
+  });
+  fault.cut();
+  net.run_for(util::Duration::milliseconds(100));
+  site1.leave();
+  net.run_for(util::Duration::minutes(1));
+  EXPECT_EQ(dials, 0);
+  EXPECT_EQ(site1.stats().reconnect_failures, 0u);
+  EXPECT_FALSE(site1.joined());
+}
+
+TEST_F(RnlStack, DestroyingTheRisDuringReconnectBackoffNeverDials) {
+  devices::Host h3(net, "h3");
+  auto site = std::make_unique<ris::RouterInterface>(net, "ap-south");
+  site->map_port(site->add_router(&h3, "server h3", "host.png"), 0, "eth0");
+  transport::SimLinkFault fault;
+  join_with_fault(*site, fault);
+  ASSERT_TRUE(site->joined());
+  int dials = 0;
+  site->set_transport_factory([&dials] {
+    ++dials;
+    return std::unique_ptr<transport::Transport>();
+  });
+  fault.cut();
+  net.run_for(util::Duration::milliseconds(100));
+  site.reset();
+  net.run_for(util::Duration::minutes(1));
+  EXPECT_EQ(dials, 0);
+  EXPECT_EQ(server.stats().sites_lost, 1u);
+}
+
 TEST_F(RnlStack, StaleEpochFramesAreCountedAndDroppedAtTheGate) {
   join(site2);
   wire::PortId p2 = port_of("eu-central/h2");

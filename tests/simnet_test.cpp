@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "simnet/network.h"
@@ -89,6 +91,99 @@ TEST(Scheduler, DispatchMovesTheActionInsteadOfCopyingIt) {
   sched.run_all();
   EXPECT_EQ(fired, 8);
   EXPECT_EQ(copies, 0);
+}
+
+TEST(Timer, FiringsInterleaveWithPlainEventsInWhenSeqOrder) {
+  Scheduler sched;
+  std::vector<std::string> order;
+  Timer timer(sched, [&] { order.push_back("timer"); });
+  auto plain = [&](const char* name) {
+    sched.schedule_after(util::Duration::seconds(1),
+                         [&order, name] { order.push_back(name); });
+  };
+  plain("a");
+  timer.arm_after(util::Duration::seconds(1));
+  plain("b");
+  timer.arm_after(util::Duration::milliseconds(500));
+  EXPECT_EQ(sched.run_all(), 4u);
+  EXPECT_EQ(order, (std::vector<std::string>{"timer", "a", "timer", "b"}));
+}
+
+TEST(Timer, EachArmQueuesItsOwnFiring) {
+  // The RIS uplink flush is armed again while an earlier firing is still
+  // queued at the same instant; both run.
+  Scheduler sched;
+  int fired = 0;
+  Timer timer(sched, [&] { ++fired; });
+  timer.arm_after(util::Duration{});
+  timer.arm_after(util::Duration{});
+  EXPECT_EQ(sched.pending(), 2u);
+  sched.run_all();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Timer, CancelDropsEarlierArmsButNotLaterOnes) {
+  Scheduler sched;
+  std::vector<std::int64_t> fired_at;
+  Timer timer(sched, [&] { fired_at.push_back(sched.now().nanos); });
+  timer.arm_after(util::Duration::seconds(1));
+  timer.arm_after(util::Duration::seconds(2));
+  timer.cancel();
+  timer.arm_after(util::Duration::seconds(3));
+  // A dropped firing still pops at its time and counts as executed.
+  EXPECT_EQ(sched.run_all(), 3u);
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{3'000'000'000}));
+}
+
+TEST(Timer, DestroyingFreesTheCallbackAtOnceAndItsFiringRunsNothing) {
+  Scheduler sched;
+  auto captured = std::make_shared<int>(0);
+  {
+    Timer timer(sched, [captured] { ++*captured; });
+    timer.arm_after(util::Duration::seconds(1));
+    EXPECT_EQ(captured.use_count(), 2);
+  }
+  EXPECT_EQ(captured.use_count(), 1);
+  EXPECT_EQ(sched.run_all(), 1u);
+  EXPECT_EQ(*captured, 0);
+}
+
+TEST(Timer, CallbackMayRearmCancelOrDestroyItsOwnTimer) {
+  Scheduler sched;
+  int ticks = 0;
+  std::unique_ptr<Timer> periodic;
+  periodic = std::make_unique<Timer>(sched, [&] {
+    if (++ticks < 3) periodic->arm_after(util::Duration::seconds(1));
+  });
+  periodic->arm_after(util::Duration::seconds(1));
+  sched.run_all();
+  EXPECT_EQ(ticks, 3);
+
+  int cancels = 0;
+  std::unique_ptr<Timer> cancelling;
+  cancelling = std::make_unique<Timer>(sched, [&] {
+    ++cancels;
+    cancelling->cancel();
+  });
+  cancelling->arm_after(util::Duration::seconds(1));
+  cancelling->arm_after(util::Duration::seconds(2));
+  sched.run_all();
+  EXPECT_EQ(cancels, 1);
+
+  // The callback outlives its Timer until it returns: its captures stay
+  // readable after the reset, and are freed right after.
+  auto captured = std::make_shared<int>(0);
+  std::unique_ptr<Timer> doomed;
+  doomed = std::make_unique<Timer>(sched, [&doomed, captured] {
+    doomed.reset();
+    ++*captured;
+  });
+  doomed->arm_after(util::Duration::seconds(1));
+  doomed->arm_after(util::Duration::seconds(2));
+  EXPECT_EQ(sched.run_all(), 2u);
+  EXPECT_EQ(doomed, nullptr);
+  EXPECT_EQ(*captured, 1);
+  EXPECT_EQ(captured.use_count(), 1);
 }
 
 class CableTest : public ::testing::Test {
