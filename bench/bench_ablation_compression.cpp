@@ -13,6 +13,7 @@
 // Workload: two interleaved template streams (A,B,A,B,...), as produced by
 // two router ports multiplexed on one RIS uplink.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -48,7 +49,9 @@ double ratio_with_depth(const std::vector<util::Bytes>& frames,
     auto compressed = compressor.compress(frame);
     if (compressed.has_value()) {
       auto inflated = decompressor.decompress(*compressed);
-      if (!inflated.ok() || *inflated != frame) {
+      if (!inflated.ok() ||
+          !std::equal(inflated->begin(), inflated->end(), frame.begin(),
+                      frame.end())) {
         std::fprintf(stderr, "FATAL: lossy at depth %zu\n", depth);
         std::exit(1);
       }

@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "packet/builder.h"
@@ -71,7 +72,9 @@ double run_ratio(const std::vector<util::Bytes>& frames) {
     auto compressed = compressor.compress(frame);
     if (compressed.has_value()) {
       auto inflated = decompressor.decompress(*compressed);
-      if (!inflated.ok() || *inflated != frame) {
+      if (!inflated.ok() ||
+          !std::equal(inflated->begin(), inflated->end(), frame.begin(),
+                      frame.end())) {
         std::fprintf(stderr, "FATAL: lossy compression!\n");
         std::exit(1);
       }
@@ -139,7 +142,7 @@ void BM_DecompressTemplate(benchmark::State& state) {
   std::vector<util::Bytes> compressed;
   for (const auto& frame : frames) {
     auto c = compressor.compress(frame);
-    if (c.has_value()) compressed.push_back(*c);
+    if (c.has_value()) compressed.emplace_back(c->begin(), c->end());
   }
   // Decode the same short history over and over via fresh decompressors
   // primed with the raw first frame.

@@ -23,7 +23,8 @@ namespace {
 
 bool same_message(const MessageDecoder::Decoded& a,
                   const MessageDecoder::Decoded& b) {
-  return a.message == b.message && a.compressed == b.compressed;
+  return a.message == b.message && a.compressed == b.compressed &&
+         a.recorded == b.recorded;
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Fuzz harness for the tunnel framing round-trip: every message
 // encode_message_into produces must decode back to exactly the fields that
-// went in — type, router/port ids, epoch, compressed flag, payload bytes —
-// whether it arrives alone or concatenated behind another frame.
+// went in — type, router/port ids, epoch, compressed and recorded flags,
+// payload bytes — whether it arrives alone or concatenated behind another
+// frame.
 //
 // Input layout:
 //   [1B type selector][4B router][4B port][1B epoch][1B flags][payload...]
 // The selector maps onto the seven valid MessageTypes; the payload is the
-// rest of the input verbatim. Flags bit0 selects compression, bit1 marks
-// the frame traced (the trace id is derived from the ids so the round-trip
-// covers the 8-byte payload prefix added by wire::kFlagTraced).
+// rest of the input verbatim. Flags bit0 selects compression (which always
+// carries the recorded bit), bit2 marks a raw frame recorded, and bit1
+// marks the frame traced (the trace id is derived from the ids so the
+// round-trip covers the 8-byte payload prefix added by wire::kFlagTraced).
 
 #include <algorithm>
 #include <cstdint>
@@ -23,6 +25,7 @@ using rnl::util::BytesView;
 using rnl::util::ByteWriter;
 using rnl::wire::MessageDecoder;
 using rnl::wire::MessageType;
+using rnl::wire::PayloadCoding;
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -34,6 +37,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::uint8_t epoch = r.u8();
   const std::uint8_t flags = r.u8();
   const bool compressed = (flags & 1) != 0;
+  const bool recorded = compressed || (flags & 4) != 0;
+  const PayloadCoding coding = compressed ? PayloadCoding::kCompressed
+                               : recorded ? PayloadCoding::kRecorded
+                                          : PayloadCoding::kRaw;
   const bool traced = (flags & 2) != 0;
   const std::uint64_t trace_id =
       traced ? (std::uint64_t{router_id} << 32 | port_id) | 1 : 0;
@@ -41,7 +48,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   ByteWriter w;
   rnl::wire::encode_message_into(w, type, router_id, port_id, payload,
-                                 compressed, epoch, trace_id);
+                                 coding, epoch, trace_id);
 
   MessageDecoder decoder;
   const auto& views = decoder.feed_views(w.view());
@@ -52,6 +59,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   FUZZ_ASSERT(views[0].port_id == port_id);
   FUZZ_ASSERT(views[0].epoch == epoch);
   FUZZ_ASSERT(views[0].compressed == compressed);
+  FUZZ_ASSERT(views[0].recorded == recorded);
   FUZZ_ASSERT(views[0].trace_id == trace_id);
   FUZZ_ASSERT(views[0].payload.size() == payload.size());
   FUZZ_ASSERT(std::equal(views[0].payload.begin(), views[0].payload.end(),
@@ -62,9 +70,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // depend on a frame being alone in the stream.
   ByteWriter pair;
   rnl::wire::encode_message_into(pair, type, router_id, port_id, payload,
-                                 compressed, epoch, trace_id);
+                                 coding, epoch, trace_id);
   rnl::wire::encode_message_into(pair, MessageType::kKeepalive, 0, 0, {},
-                                 false, epoch);
+                                 PayloadCoding::kRaw, epoch);
   MessageDecoder decoder2;
   const auto& both = decoder2.feed_views(pair.view());
   FUZZ_ASSERT(!decoder2.failed());
@@ -80,12 +88,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ByteWriter stream;
   for (std::size_t i = 0; i < batch_frames; ++i) {
     rnl::wire::encode_message_into(stream, type, router_id, port_id, payload,
-                                   compressed,
+                                   coding,
                                    static_cast<std::uint8_t>(epoch + i));
   }
   ByteWriter tail;
   rnl::wire::encode_message_into(tail, type, router_id, port_id, payload,
-                                 compressed, epoch);
+                                 coding, epoch);
   const std::size_t cut = port_id % tail.view().size();
   stream.raw(BytesView(tail.view().data(), cut));
 

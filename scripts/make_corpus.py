@@ -55,8 +55,20 @@ write("message_decoder", "keepalive.bin", SEED + frame(5))
 write("message_decoder", "join.bin", SEED + frame(1, payload=JOIN_JSON))
 write("message_decoder", "data_pair.bin",
       SEED + frame(3, 7, 9, b"\xde\xad\xbe\xef" * 16) + frame(5))
+# Compressed (bit0) without the recorded bit (bit2): written before bit2
+# existed as an accepted compressed frame, it is now a framing error.
 write("message_decoder", "epoch_compressed.bin",
       SEED + frame(3, 1, 2, b"\x01\x01\x04\x00\x04abcd", flags=0xAB01))
+# kFlagRecorded (bit2): a raw frame the sender recorded in its codec
+# history, a compressed frame (always recorded), and a compressed frame
+# without the bit behind a good one — rejected from its header on.
+write("message_decoder", "data_recorded.bin",
+      SEED + frame(3, 7, 9, b"\xca\xfe" * 24, flags=0x0504) + frame(5))
+write("message_decoder", "compressed_recorded.bin",
+      SEED + frame(3, 1, 2, b"\x01\x01\x04\x00\x04abcd", flags=0xAB05))
+write("message_decoder", "compressed_unrecorded.bin",
+      SEED + frame(5) + frame(3, 1, 2, b"\x01\x01\x04\x00\x04abcd",
+                              flags=0x0001) + frame(5))
 write("message_decoder", "bad_magic.bin", SEED + b"XXXX" + frame(5)[4:])
 write("message_decoder", "bad_version.bin",
       SEED + struct.pack(">IBBHIII", MAGIC, 9, 5, 0, 0, 0, 0))
@@ -105,6 +117,10 @@ write("tunnel_roundtrip", "traced_data.bin",
 write("tunnel_roundtrip", "traced_compressed_epoch.bin",
       b"\x02" + struct.pack(">II", 0xCAFE, 0xBEEF) + b"\xfe\x03"
       + b"traced+compressed" * 4)
+# Raw frame recorded in the sender's codec history (flags bit2).
+write("tunnel_roundtrip", "recorded_raw.bin",
+      b"\x02" + struct.pack(">II", 0x0102, 0x0304) + b"\x09\x04"
+      + b"recorded-raw-frame" * 3)
 
 # -- decompressor: hostile encodings against a primed ring --
 def decomp(body, prime=4, seed=SEED):

@@ -378,32 +378,27 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   // never starts behind bytes an earlier one left.
   if (pending_uplink_frames_ == 0) w.clear();
   const std::size_t cap_before = w.capacity();
-  bool sent_compressed = false;
+  // With compression on, every frame is recorded in the codec history and
+  // sent with kFlagRecorded, compressed or not, so the server's decompressor
+  // records it too; with it off the frame bypasses both rings.
+  util::BytesView payload = frame;
+  wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
+  bool codec_grew = false;
   if (compression_enabled_) {
-    // The compressor ring advances on *every* data frame (compressed or
-    // not) so encoder and decoder histories stay aligned even when
-    // compression is toggled.
-    auto compressed = compressor_.compress(frame);
-    if (compressed.has_value()) {
-      ++stats_.payload_allocs;
-      wire::encode_message_into(w, wire::MessageType::kData, router_id,
-                                port_id, *compressed, /*compressed=*/true,
-                                static_cast<std::uint8_t>(epoch_), trace_id);
-      sent_compressed = true;
-    }
-  } else {
-    // Compression off: record the frame without the reference search so the
-    // rings stay in lockstep if compression is toggled mid-stream.
-    compressor_.note_outgoing(frame);
+    const std::uint64_t allocs_before = compressor_.allocations();
+    const auto compressed = compressor_.compress(frame);
+    payload = compressed.value_or(frame);
+    coding = compressed ? wire::PayloadCoding::kCompressed
+                        : wire::PayloadCoding::kRecorded;
+    codec_grew = compressor_.allocations() != allocs_before;
+    if (codec_grew) ++stats_.payload_allocs;
   }
-  if (!sent_compressed) {
-    wire::encode_message_into(w, wire::MessageType::kData, router_id, port_id,
-                              frame, /*compressed=*/false,
-                              static_cast<std::uint8_t>(epoch_), trace_id);
-  }
+  wire::encode_message_into(w, wire::MessageType::kData, router_id, port_id,
+                            payload, coding,
+                            static_cast<std::uint8_t>(epoch_), trace_id);
   bool grew = w.capacity() != cap_before;
   if (grew) ++stats_.payload_allocs;
-  if (!grew && !compression_enabled_) ++stats_.fast_path_frames;
+  if (!grew && !codec_grew) ++stats_.fast_path_frames;
   ++pending_uplink_frames_;
   if (uplink_batch_trace_id_ == 0) uplink_batch_trace_id_ = trace_id;
   // Only the append that opens a batch arms the end-of-burst flush: one
@@ -499,20 +494,26 @@ void RouterInterface::handle_message(
         }
         return;
       }
-      util::Bytes inflated_frame;  // only materialized for compressed frames
-      util::BytesView frame;
-      if (msg.compressed) {
-        auto inflated = decompressor_.decompress(msg.payload);
-        if (!inflated.ok()) {
-          ++stats_.decode_errors;
-          return;
+      // Zero-copy: a view into the decoder buffer or, for a compressed
+      // frame, into the decompressor ring slot it was inflated into. Only a
+      // frame the server recorded (every compressed one is) touches the
+      // ring.
+      util::BytesView frame = msg.payload;
+      if (msg.recorded) {
+        const std::uint64_t allocs_before = decompressor_.allocations();
+        if (msg.compressed) {
+          auto inflated = decompressor_.decompress(msg.payload);
+          if (!inflated.ok()) {
+            ++stats_.decode_errors;
+            return;
+          }
+          frame = *inflated;
+        } else {
+          decompressor_.note_raw(msg.payload);
         }
-        inflated_frame = std::move(inflated).take();
-        frame = inflated_frame;
-        ++stats_.payload_allocs;
-      } else {
-        decompressor_.note_raw(msg.payload);
-        frame = msg.payload;  // zero-copy: view into the decoder buffer
+        if (decompressor_.allocations() != allocs_before) {
+          ++stats_.payload_allocs;
+        }
       }
       auto slot = id_to_slot_.find({msg.router_id, msg.port_id});
       if (slot == id_to_slot_.end()) {

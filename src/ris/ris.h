@@ -157,6 +157,10 @@ class RouterInterface {
   /// JOIN ack (0 before the first ack and for a site's first session).
   [[nodiscard]] std::uint32_t session_epoch() const { return epoch_; }
 
+  /// Template compression of uplink data frames (§4), off by default. It
+  /// may be switched at any time: only frames sent while it is on enter
+  /// the codec history, and they carry wire::kFlagRecorded so the server
+  /// records them too.
   void set_compression_enabled(bool enabled) { compression_enabled_ = enabled; }
 
   // -- Uplink batching --
@@ -173,6 +177,8 @@ class RouterInterface {
   static constexpr std::size_t kUplinkBatchBytes = 16 * 1024;
 
   [[nodiscard]] const RisStats& stats() const { return stats_; }
+  /// Uplink codec counters; frames sent with compression off are not in
+  /// them.
   [[nodiscard]] const wire::CompressionStats& compression_stats() const {
     return compressor_.stats();
   }

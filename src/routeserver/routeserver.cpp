@@ -229,8 +229,11 @@ void RouteServer::flush_pending() {
   // pass is not enough: drain until the list stays empty, or an end-of-
   // burst flush could strand frames appended mid-flush. Each pass clears
   // in_flush_list before flushing, so re-appends always land in the fresh
-  // list and the loop terminates once no new batches open.
-  std::vector<Site*> open;
+  // list and the loop terminates once no new batches open. The detached
+  // list borrows flush_spare_'s buffer and hands it back, so the two lists
+  // trade buffers and keep their capacity; a reentrant call finds the spare
+  // already lent out and starts from an empty one.
+  std::vector<Site*> open = std::move(flush_spare_);
   while (!flush_list_.empty()) {
     open.clear();
     open.swap(flush_list_);
@@ -239,6 +242,8 @@ void RouteServer::flush_pending() {
       flush_site(site);
     }
   }
+  open.clear();
+  flush_spare_ = std::move(open);
 }
 
 RouteServer::EgressVerdict RouteServer::egress_verdict(Site* site) {
@@ -494,7 +499,7 @@ void RouteServer::send_control(Site* site, wire::MessageType type,
   flush_site(site);
   site->send_buffer.clear();
   wire::encode_message_into(site->send_buffer, type, router, /*port_id=*/0,
-                            payload, /*compressed=*/false,
+                            payload, wire::PayloadCoding::kRaw,
                             static_cast<std::uint8_t>(site->epoch));
   util::BytesView encoded = site->send_buffer.view();
   // Control is never shed. While the site's egress is backpressured (or
@@ -725,21 +730,28 @@ void RouteServer::handle_data(Site* site,
       return;
     }
   }
-  util::BytesView frame;
+  // Zero-copy: a view into the decoder buffer or, for a compressed frame,
+  // into the decompressor ring slot it was inflated into. Only a frame the
+  // site recorded (every compressed one is) touches the ring, and it leaves
+  // the fast path only if a ring buffer had to grow.
+  util::BytesView frame = msg.payload;
   bool slow = false;
-  if (msg.compressed) {
-    auto inflated = site->decompressor.decompress(msg.payload);
-    if (!inflated.ok()) {
-      ++stats_.decode_errors;
-      return;
+  if (msg.recorded) {
+    const std::uint64_t allocs_before = site->decompressor.allocations();
+    if (msg.compressed) {
+      auto inflated = site->decompressor.decompress(msg.payload);
+      if (!inflated.ok()) {
+        ++stats_.decode_errors;
+        return;
+      }
+      frame = *inflated;
+    } else {
+      site->decompressor.note_raw(msg.payload);
     }
-    site->inflate_buffer = std::move(inflated).take();
-    frame = site->inflate_buffer;
-    slow = true;
-    ++stats_.dataplane.payload_allocs;  // decompressor output buffer
-  } else {
-    site->decompressor.note_raw(msg.payload);
-    frame = msg.payload;  // zero-copy: view into the decoder buffer
+    if (site->decompressor.allocations() != allocs_before) {
+      ++stats_.dataplane.payload_allocs;
+      slow = true;
+    }
   }
 
   if (active_captures_ != 0) {
@@ -860,30 +872,25 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
   // next batch and counted by pending_data_bytes.
   if (site->pending_data_frames == 0) w.clear();
   const std::size_t cap_before = w.capacity();
-  bool sent_compressed = false;
+  // With compression on, every frame is recorded in the codec history and
+  // sent with kFlagRecorded, compressed or not, so the site's decompressor
+  // records it too; with it off the frame bypasses both rings.
+  util::BytesView payload = frame;
+  wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
   if (compression_enabled_) {
-    slow = true;  // the reference search + encode allocate by design
-    auto compressed = site->compressor.compress(frame);
-    if (compressed.has_value()) {
-      ++stats_.dataplane.payload_allocs;  // compressor output buffer
-      wire::encode_message_into(w, wire::MessageType::kData, record->router,
-                                port, *compressed, /*compressed=*/true,
-                                static_cast<std::uint8_t>(site->epoch),
-                                trace_id);
-      sent_compressed = true;
+    const std::uint64_t allocs_before = site->compressor.allocations();
+    const auto compressed = site->compressor.compress(frame);
+    payload = compressed.value_or(frame);
+    coding = compressed ? wire::PayloadCoding::kCompressed
+                        : wire::PayloadCoding::kRecorded;
+    if (site->compressor.allocations() != allocs_before) {
+      ++stats_.dataplane.payload_allocs;  // scratch buffer or ring slot grew
+      slow = true;
     }
-  } else {
-    // Compression off: skip the reference search entirely but keep the ring
-    // advancing so the peer's decompressor stays in lockstep if compression
-    // is toggled back on mid-stream.
-    site->compressor.note_outgoing(frame);
   }
-  if (!sent_compressed) {
-    wire::encode_message_into(w, wire::MessageType::kData, record->router,
-                              port, frame, /*compressed=*/false,
-                              static_cast<std::uint8_t>(site->epoch),
-                              trace_id);
-  }
+  wire::encode_message_into(w, wire::MessageType::kData, record->router, port,
+                            payload, coding,
+                            static_cast<std::uint8_t>(site->epoch), trace_id);
   if (w.capacity() != cap_before) {
     ++stats_.dataplane.payload_allocs;  // send buffer grew (cold start)
     slow = true;

@@ -71,18 +71,20 @@ struct CapturedFrame {
   util::SimTime at{};
 };
 
-/// Per-frame fast-path observability. "Fast path" means a raw (uncompressed)
-/// frame that was forwarded with no capture active and zero heap allocations:
-/// decoded as a view into the received bytes, serialized straight into the
-/// owning site's reusable send buffer (a cross-shard frame also passes
-/// through a recycled ring buffer). Every frame that had to allocate —
-/// decompression, compression, a growing send buffer or ring buffer, an
-/// impaired wire, a running capture — is a slow-path frame.
+/// Per-frame fast-path observability. "Fast path" means a frame that was
+/// forwarded with no capture active and zero heap allocations: decoded as a
+/// view into the received bytes (or inflated into a codec ring slot),
+/// serialized straight into the owning site's reusable send buffer (a
+/// cross-shard frame also passes through a recycled ring buffer). Every
+/// frame that had to allocate — a growing send buffer, cross-shard buffer,
+/// codec scratch buffer or ring slot, an impaired wire, a running capture —
+/// is a slow-path frame.
 struct DataPlaneStats {
   std::uint64_t fast_path_frames = 0;
   std::uint64_t slow_path_frames = 0;
-  /// Heap allocations observed on the per-frame path (send-buffer growth,
-  /// (de)compression output buffers). Zero in steady state.
+  /// Heap allocations observed on the per-frame path (growth of the send
+  /// buffer or of a codec's scratch buffer or ring slot). Zero in steady
+  /// state.
   std::uint64_t payload_allocs = 0;
   /// Payload bytes memcpy'd into send buffers (the one copy a frame always
   /// takes: framing the payload behind its header for the transport), plus
@@ -233,6 +235,8 @@ class RouteServer {
     return owner_thread_ == std::this_thread::get_id();
   }
 
+  /// Template compression of data frames toward every site (§4), off by
+  /// default; see RouterInterface::set_compression_enabled.
   void set_compression_enabled(bool enabled) { compression_enabled_ = enabled; }
   /// Sites silent longer than `timeout` are presumed dead and dropped
   /// (checked once per `timeout`/4 of simulated time). Zero disables.
@@ -387,12 +391,11 @@ class RouteServer {
     // we send to it.
     wire::TemplateDecompressor decompressor;
     wire::TemplateCompressor compressor;
-    /// Reusable buffers: outgoing frames serialize straight into
-    /// `send_buffer` (cleared, capacity kept), and decompressed inbound
-    /// payloads land in `inflate_buffer`. Both stop allocating once they
-    /// have seen the site's largest frame.
+    /// Reusable buffer: outgoing frames serialize straight into it
+    /// (cleared, capacity kept), so it stops allocating once it has seen
+    /// the site's largest batch. Decompressed inbound payloads land in the
+    /// decompressor's own ring.
     util::ByteWriter send_buffer;
-    util::Bytes inflate_buffer;
     std::string name;
     std::vector<wire::RouterId> router_ids;
     /// The dispatch layer's parse of this connection's first kJoin, which
@@ -593,6 +596,9 @@ class RouteServer {
   /// flush time (flush_site discards / no-ops); Site objects stay alive
   /// until purge_dead_sites(), so raw pointers are safe here.
   std::vector<Site*> flush_list_;
+  /// flush_pending's detached list between calls (empty; kept for its
+  /// capacity).
+  std::vector<Site*> flush_spare_;
   util::Duration stall_deadline_{util::Duration::seconds(30)};
   util::Duration liveness_timeout_{};
   util::Duration retention_deadline_{kDefaultRetentionDeadline};

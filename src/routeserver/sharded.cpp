@@ -385,13 +385,21 @@ void ShardedRouteServer::run_on_shard(std::size_t s,
 
 std::size_t ShardedRouteServer::drain_commands(std::size_t s) {
   Shard& shard = *shards_[s];
-  std::deque<std::function<void()>> batch;
+  // The batch borrows the shard's spare vector and swaps it with the queue,
+  // so the two trade buffers and keep their capacity: a pump allocates
+  // nothing. A command posting to its own shard lands in the queue, not in
+  // the batch being run; a reentrant drain finds the spare lent out and
+  // starts from an empty one.
+  std::vector<std::function<void()>> batch = std::move(shard.spare_commands);
   {
     std::lock_guard<std::mutex> lock(shard.command_mutex);
     batch.swap(shard.commands);
   }
   for (auto& fn : batch) fn();
-  return batch.size();
+  const std::size_t ran = batch.size();
+  batch.clear();
+  shard.spare_commands = std::move(batch);
+  return ran;
 }
 
 std::size_t ShardedRouteServer::drain_wires(std::size_t s) {

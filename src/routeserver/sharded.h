@@ -40,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -203,7 +202,10 @@ class ShardedRouteServer {
     /// own index, since a frame only takes a wire when it crosses shards.
     std::vector<std::unique_ptr<WireRing>> inbound;
     std::mutex command_mutex;
-    std::deque<std::function<void()>> commands;
+    std::vector<std::function<void()>> commands;
+    /// drain_commands' batch between drains (empty; kept for its capacity).
+    /// Owner thread only.
+    std::vector<std::function<void()>> spare_commands;
     std::function<bool()> pump;
     std::thread thread;
     std::atomic<std::uint64_t> cpu_ns{0};

@@ -113,13 +113,16 @@ void Cable::carry(Port& from, util::BytesView frame) {
   if (!need_event) return;
   Cable* self = this;
   Port* dest = &to;
-  scheduler_.schedule_at(arrival, [self, dest, from_a] {
+  // Two pointers fit std::function's inline buffer, so scheduling the drain
+  // allocates nothing; the direction is derived from `dest` once the
+  // wiring check has shown `self` is alive.
+  scheduler_.schedule_at(arrival, [self, dest] {
     // If the cable was unplugged (or re-plugged elsewhere) while the frame
     // was in flight, the photon dies in the fiber. The check also keeps the
     // lambda from touching a freed Cable: `dest->cable_` only equals `self`
     // while `self` is alive and still wired to `dest`.
     if (dest->cable_ != self) return;
-    self->drain(from_a);
+    self->drain(/*from_a=*/dest == &self->b_);
   });
 }
 

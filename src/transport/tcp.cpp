@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -40,8 +41,10 @@ void TcpEventLoop::unwatch(int fd) { watches_.erase(fd); }
 
 std::size_t TcpEventLoop::run_once(int timeout_ms) {
   if (watches_.empty()) return 0;
-  std::vector<pollfd> fds;
-  fds.reserve(watches_.size());
+  // Rebuilt in place each call: the vector keeps its capacity, so a steady
+  // loop allocates nothing here.
+  std::vector<pollfd>& fds = pollfds_;
+  fds.clear();
   for (const auto& [fd, watch] : watches_) {
     short events = 0;
     if (watch.readable) events |= POLLIN;
@@ -49,13 +52,14 @@ std::size_t TcpEventLoop::run_once(int timeout_ms) {
     fds.push_back(pollfd{fd, events, 0});
   }
   // A signal interrupting poll() is routine, not a readiness report of
-  // zero: restart with the remaining timeout budget so run_once() keeps its
-  // "waited up to timeout_ms" contract even under a signal storm. Other
-  // errnos are surfaced distinctly via last_poll_errno().
+  // zero: restart with the remaining timeout budget so run_once() keeps
+  // waiting out its timeout even under a signal storm. Other errnos are
+  // surfaced distinctly via last_poll_errno(). The clock is read only once
+  // a poll() has been interrupted, so the common uninterrupted call pays no
+  // clock read; the budget then counts from that first interruption.
   last_poll_errno_ = 0;
   int ready;
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   int remaining_ms = timeout_ms;
   while (true) {
     ready = ::poll(fds.data(), fds.size(), remaining_ms);
@@ -67,8 +71,10 @@ std::size_t TcpEventLoop::run_once(int timeout_ms) {
       return 0;
     }
     if (timeout_ms >= 0) {
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
+      const auto now = std::chrono::steady_clock::now();
+      if (!deadline) deadline = now + std::chrono::milliseconds(timeout_ms);
+      auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(*deadline - now);
       remaining_ms = left.count() > 0 ? static_cast<int>(left.count()) : 0;
     }
   }
@@ -182,6 +188,10 @@ void TcpTransport::on_readable() {
       } else {
         read_spill_.insert(read_spill_.end(), view.begin(), view.end());
       }
+      // A short read drained the kernel queue: stop here instead of paying
+      // a recv() that only returns EAGAIN. poll() is level-triggered, so
+      // bytes (or a FIN) arriving later are reported on the next round.
+      if (static_cast<std::size_t>(n) < sizeof buffer) return;
       continue;
     }
     if (n == 0) {  // orderly shutdown by peer

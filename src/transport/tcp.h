@@ -7,6 +7,8 @@
 // dials. Non-blocking sockets, buffered writes, edge-free readiness via
 // level-triggered poll().
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -43,8 +45,9 @@ class TcpEventLoop {
   /// Polls once with `timeout_ms` and dispatches ready handlers. Returns the
   /// number of handlers dispatched. EINTR is not an error: a signal landing
   /// mid-poll (profilers, timers, a debugger attaching) restarts the wait
-  /// with the remaining budget instead of being reported as zero-ready.
-  /// Any other poll() failure is recorded in last_poll_errno().
+  /// with the budget left, counted from the first interruption, instead of
+  /// being reported as zero-ready. Any other poll() failure is recorded in
+  /// last_poll_errno(). Not re-entrant: a handler must not call run_once().
   std::size_t run_once(int timeout_ms);
   /// Runs until `predicate()` is true or `max_iterations` run out.
   bool run_until(const std::function<bool()>& predicate,
@@ -61,6 +64,9 @@ class TcpEventLoop {
     bool want_write = false;
   };
   std::map<int, Watch> watches_;
+  /// run_once's poll set, rebuilt from watches_ on every call; a member so
+  /// it keeps its capacity.
+  std::vector<pollfd> pollfds_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   int last_poll_errno_ = 0;
 };

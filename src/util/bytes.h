@@ -44,6 +44,7 @@ class ByteWriter {
   /// messages stops allocating once it has seen the largest one (the
   /// data-plane send buffers depend on this).
   void clear() { buffer_.clear(); }
+  void reserve(std::size_t n) { buffer_.reserve(n); }
   [[nodiscard]] std::size_t capacity() const { return buffer_.capacity(); }
 
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }

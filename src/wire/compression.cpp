@@ -61,10 +61,13 @@ std::size_t diff_cost(util::BytesView frame, util::BytesView ref,
 
 }  // namespace
 
-std::optional<util::Bytes> TemplateCompressor::compress(
+std::optional<util::BytesView> TemplateCompressor::compress(
     util::BytesView frame) {
   ++stats_.frames_in;
   stats_.bytes_in += frame.size();
+  util::Bytes& slot = ring_[count_ % kRingSize];
+  const std::size_t slot_capacity = slot.capacity();
+  const std::size_t scratch_capacity = scratch_.capacity();
 
   // Pick the cheapest reference among the most recent frames.
   std::size_t best_age = 0;  // 0 = none
@@ -81,10 +84,14 @@ std::optional<util::Bytes> TemplateCompressor::compress(
     }
   }
 
-  std::optional<util::Bytes> result;
+  bool compressed = false;
   if (best_age != 0) {
+    // At age kRingSize the reference is `slot` itself, which is overwritten
+    // only after the diff is written.
     const util::Bytes& ref = ring_[(count_ - best_age) % kRingSize];
-    util::ByteWriter w(best_cost + 8);
+    util::ByteWriter& w = scratch_;
+    w.clear();
+    w.reserve(best_cost + 8);
     w.u8(0x01);  // scheme: template diff
     w.u8(static_cast<std::uint8_t>(best_age));
     put_varint(w, static_cast<std::uint32_t>(frame.size()));
@@ -113,23 +120,26 @@ std::optional<util::Bytes> TemplateCompressor::compress(
       w.raw(frame.subspan(j, lit));
       i = j + lit;
     }
-    if (w.size() < frame.size()) {
-      ++stats_.frames_compressed;
-      stats_.bytes_out += w.size();
-      if (ratio_hist_ != nullptr && w.size() > 0) {
-        ratio_hist_->record(frame.size() * 100 / w.size());
-      }
-      result = std::move(w).take();
-    } else {
-      stats_.bytes_out += frame.size();
+    compressed = w.size() < frame.size();
+  }
+  if (compressed) {
+    ++stats_.frames_compressed;
+    stats_.bytes_out += scratch_.size();
+    if (ratio_hist_ != nullptr) {
+      ratio_hist_->record(frame.size() * 100 / scratch_.size());
     }
   } else {
     stats_.bytes_out += frame.size();
   }
 
-  ring_[count_ % kRingSize].assign(frame.begin(), frame.end());
+  slot.assign(frame.begin(), frame.end());
   ++count_;
-  return result;
+  if (slot.capacity() != slot_capacity ||
+      scratch_.capacity() != scratch_capacity) {
+    ++allocations_;
+  }
+  if (!compressed) return std::nullopt;
+  return scratch_.view();
 }
 
 void TemplateCompressor::reset() {
@@ -137,15 +147,7 @@ void TemplateCompressor::reset() {
   count_ = 0;
 }
 
-void TemplateCompressor::note_outgoing(util::BytesView frame) {
-  ++stats_.frames_in;
-  stats_.bytes_in += frame.size();
-  stats_.bytes_out += frame.size();  // sent raw, by definition
-  ring_[count_ % kRingSize].assign(frame.begin(), frame.end());
-  ++count_;
-}
-
-util::Result<util::Bytes> TemplateDecompressor::decompress(
+util::Result<util::BytesView> TemplateDecompressor::decompress(
     util::BytesView encoded) {
   util::ByteReader r(encoded);
   std::uint8_t scheme = r.u8();
@@ -164,7 +166,12 @@ util::Result<util::Bytes> TemplateDecompressor::decompress(
   if (total_len > 64 * 1024) {
     return util::Error{"decompress: implausible frame length"};
   }
-  util::Bytes out;
+  // The frame is built in `spare_` and swapped into the newest slot only
+  // once it is whole: at age kRingSize the reference IS that slot, and a
+  // failed call must leave the ring as it was.
+  util::Bytes& out = spare_;
+  out.clear();
+  const std::size_t capacity = out.capacity();
   out.reserve(total_len);
   while (out.size() < total_len) {
     std::uint32_t copy = 0;
@@ -186,9 +193,11 @@ util::Result<util::Bytes> TemplateDecompressor::decompress(
       return util::Error{"decompress: zero-progress op"};
     }
   }
-  ring_[count_ % TemplateCompressor::kRingSize] = out;
+  if (out.capacity() != capacity) ++allocations_;
+  util::Bytes& slot = ring_[count_ % TemplateCompressor::kRingSize];
+  slot.swap(out);  // the evicted frame's buffer becomes the next spare
   ++count_;
-  return out;
+  return util::BytesView(slot);
 }
 
 void TemplateDecompressor::reset() {
@@ -197,8 +206,10 @@ void TemplateDecompressor::reset() {
 }
 
 void TemplateDecompressor::note_raw(util::BytesView frame) {
-  ring_[count_ % TemplateCompressor::kRingSize].assign(frame.begin(),
-                                                       frame.end());
+  util::Bytes& slot = ring_[count_ % TemplateCompressor::kRingSize];
+  const std::size_t capacity = slot.capacity();
+  slot.assign(frame.begin(), frame.end());
+  if (slot.capacity() != capacity) ++allocations_;
   ++count_;
 }
 

@@ -9,12 +9,22 @@
 // compression ratio."
 //
 // Scheme: each side of a tunnel connection keeps a ring of the last
-// kRingSize frames that crossed it (in stream order — the transport is
-// reliable and ordered, so encoder and decoder rings stay in lockstep). A
-// frame is encoded as a byte-aligned diff against the best recent reference:
-// alternating copy-from-reference / literal runs. Template traffic collapses
-// to a few bytes; incompressible traffic is sent raw (the codec returns
-// nullopt and the caller clears the compressed flag).
+// kRingSize frames it recorded. A sender records a frame, and marks it with
+// the tunnel's kFlagRecorded bit, only while its compression is enabled,
+// whether the frame then goes out compressed or raw; the receiver records a
+// raw frame only when the bit is set. The transport is reliable and ordered,
+// so both rings hold exactly the frames sent with the bit, in stream order,
+// and compression can be toggled at either end at any time. A frame sent
+// with compression off never touches a ring. A frame is encoded as a
+// byte-aligned diff against the best recent reference: alternating
+// copy-from-reference / literal runs. Template traffic collapses to a few
+// bytes; incompressible traffic is sent raw (the codec returns nullopt and
+// the caller sends the frame as recorded but uncompressed).
+//
+// Neither codec allocates per frame in steady state: the encoder writes
+// into a scratch buffer it owns, the decoder inflates into a ring buffer,
+// and every buffer keeps its capacity. allocations() counts the times one
+// had to grow, which the data plane books as payload allocations.
 
 #include <array>
 #include <cstdint>
@@ -26,6 +36,8 @@
 
 namespace rnl::wire {
 
+/// Counts only frames offered to compress(), i.e. frames sent while
+/// compression was enabled; frames sent with it off bypass the codec.
 struct CompressionStats {
   std::uint64_t frames_in = 0;
   std::uint64_t frames_compressed = 0;
@@ -52,17 +64,13 @@ class TemplateCompressor {
       std::size_t search_depth = kDefaultSearchDepth)
       : search_depth_(search_depth > kRingSize ? kRingSize : search_depth) {}
 
-  /// Attempts to compress `frame`. Returns the encoded bytes if strictly
-  /// smaller than the original, nullopt otherwise. Either way the caller
-  /// MUST send the frame (raw or compressed) and the codec records it as
-  /// the newest ring entry — encoder and decoder see the same history.
-  std::optional<util::Bytes> compress(util::BytesView frame);
-
-  /// Records `frame` as the newest ring entry WITHOUT running the reference
-  /// search — the fast path when compression is administratively disabled.
-  /// The ring must still advance on every sent frame so the peer's
-  /// decompressor stays in lockstep if compression is toggled back on.
-  void note_outgoing(util::BytesView frame);
+  /// Records `frame` as the newest ring entry and attempts to compress it.
+  /// Returns the encoded bytes if strictly smaller than the original,
+  /// nullopt otherwise; either way the caller MUST send the frame (raw or
+  /// compressed) with kFlagRecorded set, so the peer records it too. The
+  /// returned view points into a scratch buffer the codec owns and is valid
+  /// until the next call.
+  std::optional<util::BytesView> compress(util::BytesView frame);
 
   /// Forgets the entire reference ring. Lockstep is per *session*: when the
   /// tunnel is re-established (peer restart, RIS reconnect) the other side
@@ -74,6 +82,9 @@ class TemplateCompressor {
 
   [[nodiscard]] const CompressionStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t search_depth() const { return search_depth_; }
+  /// Calls that had to grow the scratch buffer or a ring slot, counted once
+  /// per call. Flat once every buffer has held the stream's largest frame.
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
   /// Each successfully compressed frame records its per-frame ratio x100
   /// (100 = 1.0x, 2500 = 25x) into `histogram` — the paper's
@@ -86,23 +97,32 @@ class TemplateCompressor {
   std::size_t search_depth_;
   std::array<util::Bytes, kRingSize> ring_;
   std::uint64_t count_ = 0;  // frames committed so far
+  util::ByteWriter scratch_;  // the last encoding; cleared, capacity kept
+  std::uint64_t allocations_ = 0;
   CompressionStats stats_;
   util::Histogram* ratio_hist_ = nullptr;
 };
 
 class TemplateDecompressor {
  public:
-  /// Inflates an encoded frame. On success the original is recorded in the
-  /// ring. Raw (uncompressed) frames must be recorded via note_raw so the
-  /// rings stay aligned.
-  util::Result<util::Bytes> decompress(util::BytesView encoded);
+  /// Inflates an encoded frame into the newest ring slot and returns a view
+  /// of it, valid until the next call. The slot's buffer is reused: the
+  /// frame is built in a spare buffer that takes the newest slot's place,
+  /// and the evicted frame's buffer becomes the next spare. A failed call
+  /// records nothing. A raw frame that arrived with kFlagRecorded must be
+  /// recorded via note_raw so the rings stay aligned.
+  util::Result<util::BytesView> decompress(util::BytesView encoded);
   void note_raw(util::BytesView frame);
   /// Forgets the reference ring (see TemplateCompressor::reset).
   void reset();
+  /// Calls that grew a ring slot (see TemplateCompressor::allocations).
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
  private:
   std::array<util::Bytes, TemplateCompressor::kRingSize> ring_;
+  util::Bytes spare_;  // decompress() builds the next slot here
   std::uint64_t count_ = 0;
+  std::uint64_t allocations_ = 0;
 };
 
 }  // namespace rnl::wire

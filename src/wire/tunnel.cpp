@@ -37,30 +37,27 @@ std::uint64_t load_be64(const std::uint8_t* p) {
 }
 }  // namespace
 
-util::Bytes encode_message(const TunnelMessage& message,
-                           const util::Bytes* compressed_payload) {
-  const util::Bytes& payload =
-      compressed_payload != nullptr ? *compressed_payload : message.payload;
-  util::ByteWriter w(kHeaderSize + payload.size());
+util::Bytes encode_message(const TunnelMessage& message) {
+  util::ByteWriter w(kHeaderSize + message.payload.size());
   encode_message_into(w, message.type, message.router_id, message.port_id,
-                      payload, compressed_payload != nullptr);
+                      message.payload);
   return std::move(w).take();
 }
 
 void encode_message_into(util::ByteWriter& w, MessageType type,
                          RouterId router_id, PortId port_id,
-                         util::BytesView payload, bool compressed,
+                         util::BytesView payload, PayloadCoding coding,
                          std::uint8_t epoch, std::uint64_t trace_id) {
   std::uint8_t header[kHeaderSize + kTraceIdSize];
   const std::size_t prefix = trace_id != 0 ? kTraceIdSize : 0;
+  std::uint16_t flags = static_cast<std::uint16_t>(epoch) << kEpochShift;
+  if (coding != PayloadCoding::kRaw) flags |= kFlagRecorded;
+  if (coding == PayloadCoding::kCompressed) flags |= kFlagCompressed;
+  if (trace_id != 0) flags |= kFlagTraced;
   store_be32(header, kMagic);
   header[4] = kVersion;
   header[5] = static_cast<std::uint8_t>(type);
-  store_be16(header + 6,
-             static_cast<std::uint16_t>(
-                 (static_cast<std::uint16_t>(epoch) << kEpochShift) |
-                 (compressed ? kFlagCompressed : 0) |
-                 (trace_id != 0 ? kFlagTraced : 0)));
+  store_be16(header + 6, flags);
   store_be32(header + 8, router_id);
   store_be32(header + 12, port_id);
   store_be32(header + 16, static_cast<std::uint32_t>(payload.size() + prefix));
@@ -154,6 +151,14 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
     if (traced && length < kTraceIdSize) {
       return fail("tunnel: traced frame shorter than its trace id");
     }
+    // A diff references history: a sender that did not record the frame
+    // cannot have compressed it, and inflating it would desynchronize the
+    // receiver's ring.
+    const bool compressed = (flags & kFlagCompressed) != 0;
+    const bool recorded = (flags & kFlagRecorded) != 0;
+    if (compressed && !recorded) {
+      return fail("tunnel: compressed frame not recorded in codec history");
+    }
     if (bytes.size() - offset - kHeaderSize < length) break;  // need more
 
     DecodedView view;
@@ -168,7 +173,8 @@ const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(
     } else {
       view.payload = bytes.subspan(body, length);
     }
-    view.compressed = (flags & kFlagCompressed) != 0;
+    view.compressed = compressed;
+    view.recorded = recorded;
     view.epoch = static_cast<std::uint8_t>(flags >> kEpochShift);
     views_.push_back(view);
     offset = body + length;
@@ -195,6 +201,7 @@ std::vector<MessageDecoder::Decoded> MessageDecoder::feed(
     decoded.message.port_id = view.port_id;
     decoded.message.payload.assign(view.payload.begin(), view.payload.end());
     decoded.compressed = view.compressed;
+    decoded.recorded = view.recorded;
     decoded.trace_id = view.trace_id;
     out.push_back(std::move(decoded));
   }

@@ -42,11 +42,21 @@ constexpr std::uint16_t kFlagCompressed = 0x0001;
 /// idiom as the epoch byte: semantics extended inside reserved flag space,
 /// no version bump, absent bit means absent id.
 constexpr std::uint16_t kFlagTraced = 0x0002;
+/// The sender recorded this frame in its codec history (the template
+/// compressor's reference ring), so the receiver must record it too. A
+/// sender sets it on every kData frame while its compression is enabled,
+/// compressed or sent raw, and never otherwise; a compressed frame without
+/// it is a framing error. Both rings therefore hold exactly the frames sent
+/// with the bit, in stream order, and a frame sent with compression off
+/// costs no ring copy at either end. With compression off no frame sets it,
+/// so the wire bytes are those of a peer that predates the bit.
+constexpr std::uint16_t kFlagRecorded = 0x0004;
 /// Every defined bit of the flags low byte. The decoder rejects frames with
 /// any other low-byte bit set: reserved bits must arrive as zero, so future
-/// flags (this file's own history: compressed, then traced) can ship
-/// knowing no old peer has been emitting junk in their slot.
-constexpr std::uint16_t kFlagKnownMask = kFlagCompressed | kFlagTraced;
+/// flags (this file's own history: compressed, traced, then recorded) can
+/// ship knowing no old peer has been emitting junk in their slot.
+constexpr std::uint16_t kFlagKnownMask =
+    kFlagCompressed | kFlagTraced | kFlagRecorded;
 /// Bytes of trace-id prefix a kFlagTraced payload carries on the wire.
 constexpr std::size_t kTraceIdSize = 8;
 /// The high byte of the flags field carries the session epoch (mod 256): the
@@ -55,6 +65,15 @@ constexpr std::size_t kTraceIdSize = 8;
 /// site are counted and dropped instead of corrupting the routing matrix.
 /// Epoch 0 is the first session, which keeps pre-epoch encoders compatible.
 constexpr std::uint16_t kEpochShift = 8;
+
+/// How a kData payload relates to the sender's codec history, i.e. which of
+/// kFlagCompressed and kFlagRecorded it carries. A compressed frame is
+/// always recorded, so the invalid combination cannot be encoded.
+enum class PayloadCoding : std::uint8_t {
+  kRaw,         // no bit: the sender's compression is off
+  kRecorded,    // kFlagRecorded: sent raw, recorded at both ends
+  kCompressed,  // kFlagCompressed | kFlagRecorded: a template diff
+};
 
 /// A parsed tunnel message. For kData, `router_id`/`port_id` identify the
 /// source (RIS->server) or destination (server->RIS) port and `payload` is
@@ -71,20 +90,19 @@ struct TunnelMessage {
 /// Serializes one message into its wire form:
 ///   magic(u32) ver(u8) type(u8) flags(u16) router(u32) port(u32) len(u32)
 ///   payload(len bytes)
-/// If `compressed_payload` is given it is used with kFlagCompressed set
-/// (compression happens in TunnelCodec; this function only frames).
-util::Bytes encode_message(const TunnelMessage& message,
-                           const util::Bytes* compressed_payload = nullptr);
+util::Bytes encode_message(const TunnelMessage& message);
 
 /// Allocation-free framing: appends the wire form of one message to `w`
 /// (typically a per-connection send buffer reused across frames, cleared by
-/// the caller). `compressed` sets kFlagCompressed; the payload is framed
-/// as given either way. `epoch` is the sender's session epoch (mod 256),
-/// stamped into the flags high byte. A nonzero `trace_id` sets kFlagTraced
-/// and prepends the id to the payload on the wire (stripped at decode).
+/// the caller). `coding` sets the compressed and recorded flag bits; the
+/// payload is framed as given either way (the caller runs the codec).
+/// `epoch` is the sender's session epoch (mod 256), stamped into the flags
+/// high byte. A nonzero `trace_id` sets kFlagTraced and prepends the id to
+/// the payload on the wire (stripped at decode).
 void encode_message_into(util::ByteWriter& w, MessageType type,
                          RouterId router_id, PortId port_id,
-                         util::BytesView payload, bool compressed = false,
+                         util::BytesView payload,
+                         PayloadCoding coding = PayloadCoding::kRaw,
                          std::uint8_t epoch = 0, std::uint64_t trace_id = 0);
 
 /// Incremental decoder for a byte stream of messages. Feed arbitrary chunks;
@@ -99,13 +117,17 @@ class MessageDecoder {
   /// from: use it inside the receive callback that fed the chunk. This is
   /// the zero-copy fast path: steady-state forwarding never materializes a
   /// util::Bytes per message. Compressed payloads are surfaced
-  /// still-compressed with `compressed` set; TunnelCodec handles inflation.
+  /// still-compressed with `compressed` set; the receiver inflates them
+  /// with its TemplateDecompressor.
   struct DecodedView {
     MessageType type = MessageType::kKeepalive;
     RouterId router_id = 0;
     PortId port_id = 0;
     util::BytesView payload;
     bool compressed = false;
+    /// kFlagRecorded: the receiver records the frame in its codec history
+    /// (always set on a compressed frame; the decoder rejects one without).
+    bool recorded = false;
     /// Sender's session epoch (mod 256) from the flags high byte.
     std::uint8_t epoch = 0;
     /// Propagated trace id (kFlagTraced payload prefix), 0 if untraced.
@@ -118,6 +140,7 @@ class MessageDecoder {
   struct Decoded {
     TunnelMessage message;
     bool compressed = false;
+    bool recorded = false;
     std::uint64_t trace_id = 0;
   };
 

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "devices/host.h"
 #include "devices/router.h"
@@ -53,6 +56,54 @@ std::vector<util::Json> instants_named(util::Tracer& tracer,
   return out;
 }
 
+/// The coding flags of one kData frame as it went onto the wire.
+struct WireFrame {
+  bool compressed = false;
+  bool recorded = false;
+};
+
+/// Passes every call through to `inner` and decodes the bytes this end
+/// sends, so a test can read the flags of each kData frame it put on the
+/// wire, in order.
+class TappedTransport final : public transport::Transport {
+ public:
+  TappedTransport(std::unique_ptr<transport::Transport> inner,
+                  std::vector<WireFrame>& sent)
+      : inner_(std::move(inner)), sent_(sent) {}
+
+  void send(util::BytesView bytes) override {
+    for (const auto& view : decoder_.feed_views(bytes)) {
+      if (view.type == wire::MessageType::kData) {
+        sent_.push_back({view.compressed, view.recorded});
+      }
+    }
+    inner_->send(bytes);
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] bool is_open() const override { return inner_->is_open(); }
+  void set_receive_handler(ReceiveHandler handler) override {
+    inner_->set_receive_handler(std::move(handler));
+  }
+  void set_close_handler(CloseHandler handler) override {
+    inner_->set_close_handler(std::move(handler));
+  }
+  [[nodiscard]] std::size_t queued_bytes() const override {
+    return inner_->queued_bytes();
+  }
+  void set_egress_watermarks(std::size_t high, std::size_t low) override {
+    inner_->set_egress_watermarks(high, low);
+  }
+  [[nodiscard]] bool writable() const override { return inner_->writable(); }
+  void set_drain_handler(DrainHandler handler) override {
+    inner_->set_drain_handler(std::move(handler));
+  }
+
+ private:
+  std::unique_ptr<transport::Transport> inner_;
+  std::vector<WireFrame>& sent_;
+  wire::MessageDecoder decoder_;
+};
+
 /// Two geographically separate sites, one host each, joined to one route
 /// server — the minimal Fig 1 architecture.
 class RnlStack : public ::testing::Test {
@@ -82,6 +133,18 @@ class RnlStack : public ::testing::Test {
         transport::make_sim_stream_pair(net.scheduler(), options);
     server.accept(std::move(server_end));
     site.join(std::move(ris_end));
+    net.run_for(util::Duration::milliseconds(500));
+  }
+
+  /// Joins with both tunnel ends tapped: `up` receives the kData frames the
+  /// RIS sends, `down` those the server sends toward it.
+  void join_tapped(ris::RouterInterface& site, std::vector<WireFrame>& up,
+                   std::vector<WireFrame>& down) {
+    auto [ris_end, server_end] =
+        transport::make_sim_stream_pair(net.scheduler());
+    server.accept(
+        std::make_unique<TappedTransport>(std::move(server_end), down));
+    site.join(std::make_unique<TappedTransport>(std::move(ris_end), up));
     net.run_for(util::Duration::milliseconds(500));
   }
 
@@ -167,7 +230,7 @@ class RnlStack : public ::testing::Test {
                           std::uint8_t epoch = 0) {
     wire::encode_message_into(w, wire::MessageType::kData,
                               raw.ack->routers[0].router_id, source_port,
-                              frame, /*compressed=*/false, epoch);
+                              frame, wire::PayloadCoding::kRaw, epoch);
   }
 
   wire::PortId port_of(const std::string& router_name) {
@@ -258,7 +321,7 @@ TEST_F(RnlStack, SteadyStateFastPathAllocatesNothing) {
             0u);
 }
 
-TEST_F(RnlStack, CaptureAndCompressionForceSlowPath) {
+TEST_F(RnlStack, CaptureForcesSlowPath) {
   join(site1);
   join(site2);
   wire::PortId p1 = port_of("us-west/h1");
@@ -277,20 +340,220 @@ TEST_F(RnlStack, CaptureAndCompressionForceSlowPath) {
   EXPECT_EQ(dp.fast_path_frames, fast_before);
   EXPECT_GT(dp.slow_path_frames, slow_before);
   server.stop_capture(p1);
+}
 
-  // So does compression (it materializes an encoded payload per frame).
+TEST_F(RnlStack, SteadyStateCompressionAllocatesNothing) {
+  // Compression writes into a codec-owned scratch buffer and inflates into
+  // a ring slot, both reused: once warm, compressed template traffic
+  // allocates nothing at the server or at either RIS, and every frame is
+  // booked fast path.
   server.set_compression_enabled(true);
   site1.set_compression_enabled(true);
   site2.set_compression_enabled(true);
-  fast_before = dp.fast_path_frames;
-  slow_before = dp.slow_path_frames;
-  std::uint64_t allocs_before = dp.payload_allocs;
-  h1.ping(ip("10.0.0.2"), 5);
+  join(site1);
+  join(site2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  // Warm up: enough echoes in each direction for every ring slot (and each
+  // decompressor's spare buffer) to have held an echo-sized frame.
+  h1.ping(ip("10.0.0.2"), 40);
+  net.run_for(util::Duration::seconds(5));
+  ASSERT_EQ(h1.ping_replies().size(), 40u);
+
+  const auto& dp = server.stats().dataplane;
+  const util::Histogram& ratio =
+      server.metrics().histogram("wire.compression_ratio_x100");
+  const std::uint64_t allocs_before = dp.payload_allocs;
+  const std::uint64_t fast_before = dp.fast_path_frames;
+  const std::uint64_t slow_before = dp.slow_path_frames;
+  const std::uint64_t routed_before = server.stats().frames_routed;
+  const std::uint64_t ratio_before = ratio.count();
+  const std::uint64_t ris_allocs_before =
+      site1.stats().payload_allocs + site2.stats().payload_allocs;
+  const std::uint64_t ris_fast_before =
+      site1.stats().fast_path_frames + site2.stats().fast_path_frames;
+  const std::uint64_t ris_up_before =
+      site1.stats().frames_up + site2.stats().frames_up;
+  const std::uint64_t compressed_before =
+      site1.compression_stats().frames_compressed +
+      site2.compression_stats().frames_compressed;
+
+  h1.ping(ip("10.0.0.2"), 50);
+  net.run_for(util::Duration::seconds(6));
+  ASSERT_EQ(h1.ping_replies().size(), 90u);
+
+  const std::uint64_t routed = server.stats().frames_routed - routed_before;
+  const std::uint64_t up = site1.stats().frames_up +
+                           site2.stats().frames_up - ris_up_before;
+  EXPECT_GE(routed, 100u);
+  EXPECT_EQ(dp.payload_allocs - allocs_before, 0u);
+  EXPECT_EQ(dp.fast_path_frames - fast_before, routed);
+  EXPECT_EQ(dp.slow_path_frames - slow_before, 0u);
+  EXPECT_EQ(site1.stats().payload_allocs + site2.stats().payload_allocs -
+                ris_allocs_before,
+            0u);
+  EXPECT_EQ(site1.stats().fast_path_frames + site2.stats().fast_path_frames -
+                ris_fast_before,
+            up);
+  // The frames really went compressed, uplink and downlink.
+  EXPECT_GE(site1.compression_stats().frames_compressed +
+                site2.compression_stats().frames_compressed -
+                compressed_before,
+            up - 2);
+  EXPECT_GE(ratio.count() - ratio_before, routed - 2);
+  EXPECT_EQ(site1.stats().decode_errors + site2.stats().decode_errors, 0u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+}
+
+TEST_F(RnlStack, CompressionOffPutsNoRecordedBitOnTheWire) {
+  // With compression off, the default, no data frame carries
+  // kFlagRecorded or kFlagCompressed in either direction, so the wire bytes
+  // are those of a peer that predates the bit, and no codec ring records
+  // anything. The rings' emptiness shows once compression is switched on
+  // everywhere: the first frame each sender then offers its compressor has
+  // nothing to diff against and goes out raw but recorded. Rings kept in
+  // step by copying every frame would compress it at once.
+  std::vector<WireFrame> up1;
+  std::vector<WireFrame> down1;
+  std::vector<WireFrame> up2;
+  std::vector<WireFrame> down2;
+  join_tapped(site1, up1, down1);
+  join_tapped(site2, up2, down2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  h1.ping(ip("10.0.0.2"), 10);
   net.run_for(util::Duration::seconds(2));
-  ASSERT_EQ(h1.ping_replies().size(), 15u);
-  EXPECT_EQ(dp.fast_path_frames, fast_before);
-  EXPECT_GT(dp.slow_path_frames, slow_before);
-  EXPECT_GT(dp.payload_allocs, allocs_before);
+  ASSERT_EQ(h1.ping_replies().size(), 10u);
+  const std::array<std::vector<WireFrame>*, 4> taps = {&up1, &down1, &up2,
+                                                       &down2};
+  for (const auto* tap : taps) {
+    ASSERT_GE(tap->size(), 10u);
+    for (const WireFrame& frame : *tap) {
+      EXPECT_FALSE(frame.recorded);
+      EXPECT_FALSE(frame.compressed);
+    }
+  }
+  EXPECT_EQ(site1.compression_stats().frames_in, 0u);
+  EXPECT_EQ(site2.compression_stats().frames_in, 0u);
+
+  server.set_compression_enabled(true);
+  site1.set_compression_enabled(true);
+  site2.set_compression_enabled(true);
+  std::array<std::size_t, 4> marks{};
+  for (std::size_t t = 0; t < taps.size(); ++t) marks[t] = taps[t]->size();
+  h1.ping(ip("10.0.0.2"), 10);
+  net.run_for(util::Duration::seconds(2));
+  ASSERT_EQ(h1.ping_replies().size(), 20u);
+  for (std::size_t t = 0; t < taps.size(); ++t) {
+    const std::vector<WireFrame>& tap = *taps[t];
+    ASSERT_GE(tap.size(), marks[t] + 10) << "tap " << t;
+    EXPECT_TRUE(tap[marks[t]].recorded) << "tap " << t;
+    EXPECT_FALSE(tap[marks[t]].compressed) << "tap " << t;
+    std::size_t compressed = 0;
+    for (std::size_t i = marks[t]; i < tap.size(); ++i) {
+      EXPECT_TRUE(tap[i].recorded) << "tap " << t << " frame " << i;
+      if (tap[i].compressed) ++compressed;
+    }
+    EXPECT_GE(compressed, 8u) << "tap " << t;
+  }
+  EXPECT_EQ(site1.stats().decode_errors + site2.stats().decode_errors, 0u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+}
+
+TEST_F(RnlStack, CompressionToggledAtEitherEndKeepsEveryFrameIntact) {
+  // Each end switches compression on and off on its own schedule while
+  // template frames flow both ways, one per 100 ms each way. Runs of 1-7
+  // frames are shorter than the 16-slot codec ring, runs of 17-30 longer.
+  // Each pair of rings holds exactly the frames sent with kFlagRecorded, so
+  // every toggle keeps them in step: every frame h1 puts on its cable
+  // reaches h2 byte for byte, and the other way round.
+  join(site1);
+  join(site2);
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  // Fields change at different rates: a sequence number every frame, and
+  // marker bytes cycling with periods 2, 3 and 5, spaced apart so each one
+  // the reference shares is copied, not sent. A receiver whose ring
+  // disagreed with its sender's by any offset under 30 frames would copy a
+  // marker from the wrong reference.
+  util::Rng rng(91);
+  util::Bytes base(300);
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_u32());
+  std::fill_n(base.begin(), 6, std::uint8_t{0x02});  // no host's MAC
+  base[12] = 0x88;  // local experimental EtherType: the hosts ignore it
+  base[13] = 0xB5;
+  auto make_frame = [&base](std::uint32_t seq, std::uint8_t sender) {
+    util::Bytes frame = base;
+    frame[6] = sender;
+    for (int b = 0; b < 4; ++b) {
+      frame[20 + b] = static_cast<std::uint8_t>(seq >> (8 * b));
+    }
+    frame[60] = static_cast<std::uint8_t>(seq % 2);
+    frame[120] = static_cast<std::uint8_t>(seq % 3);
+    frame[180] = static_cast<std::uint8_t>(seq % 5);
+    return frame;
+  };
+
+  std::vector<util::Bytes> h1_tx;
+  std::vector<util::Bytes> h1_rx;
+  std::vector<util::Bytes> h2_tx;
+  std::vector<util::Bytes> h2_rx;
+  h1.port(0).set_tap([&](bool tx, util::BytesView frame) {
+    (tx ? h1_tx : h1_rx).emplace_back(frame.begin(), frame.end());
+  });
+  h2.port(0).set_tap([&](bool tx, util::BytesView frame) {
+    (tx ? h2_tx : h2_rx).emplace_back(frame.begin(), frame.end());
+  });
+  constexpr std::uint32_t kFrames = 80;
+  for (std::uint32_t seq = 0; seq < kFrames; ++seq) {
+    const std::int64_t at_ms = 100 * static_cast<std::int64_t>(seq);
+    net.scheduler().schedule_after(
+        util::Duration::milliseconds(at_ms + 10),
+        [&, seq] { h1.port(0).transmit(make_frame(seq, 1)); });
+    net.scheduler().schedule_after(
+        util::Duration::milliseconds(at_ms + 60),
+        [&, seq] { h2.port(0).transmit(make_frame(seq, 2)); });
+  }
+  // Run lengths in frame periods; each end starts with compression on.
+  auto schedule_toggles = [&](std::function<void(bool)> set,
+                              std::initializer_list<int> runs,
+                              std::int64_t offset_ms) {
+    set(true);
+    bool enabled = true;
+    std::int64_t at_ms = offset_ms;
+    for (const int run : runs) {
+      at_ms += run * 100;
+      enabled = !enabled;
+      net.scheduler().schedule_after(util::Duration::milliseconds(at_ms),
+                                     [set, enabled] { set(enabled); });
+    }
+  };
+  schedule_toggles([&](bool on) { site1.set_compression_enabled(on); },
+                   {3, 20, 5, 18, 2, 30}, 50);
+  schedule_toggles([&](bool on) { server.set_compression_enabled(on); },
+                   {7, 17, 1, 25, 4, 26}, 30);
+  schedule_toggles([&](bool on) { site2.set_compression_enabled(on); },
+                   {19, 2, 22, 6, 3, 28}, 70);
+  net.run_for(util::Duration::seconds(9));
+  h1.port(0).set_tap(nullptr);
+  h2.port(0).set_tap(nullptr);
+
+  ASSERT_EQ(h1_tx.size(), kFrames);
+  ASSERT_EQ(h2_tx.size(), kFrames);
+  EXPECT_EQ(h2_rx, h1_tx);
+  EXPECT_EQ(h1_rx, h2_tx);
+  EXPECT_EQ(site1.stats().decode_errors + site2.stats().decode_errors, 0u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+  // Both regimes ran at every end: some frames compressed, some bypassed.
+  for (const ris::RouterInterface* site : {&site1, &site2}) {
+    EXPECT_GT(site->compression_stats().frames_compressed, 0u);
+    EXPECT_LT(site->compression_stats().frames_in, site->stats().frames_up);
+  }
+  EXPECT_GT(
+      server.metrics().histogram("wire.compression_ratio_x100").count(), 0u);
 }
 
 TEST_F(RnlStack, WanDelayShowsUpInRtt) {
@@ -729,7 +992,7 @@ TEST_F(RnlStack, StaleEpochFramesAreCountedAndDroppedAtTheGate) {
     util::ByteWriter w;
     wire::encode_message_into(w, wire::MessageType::kData,
                               ack->routers[0].router_id, crafted_port, frame,
-                              /*compressed=*/false, epoch);
+                              wire::PayloadCoding::kRaw, epoch);
     client->send(w.view());
     net.run_for(util::Duration::milliseconds(50));
   };
@@ -1387,8 +1650,9 @@ TEST_F(RnlStack, EgressBurstIsOneWriteAndOneFlushSpanForItsFirstTrace) {
     wire::encode_message_into(batch, wire::MessageType::kData,
                               src.ack->routers[0].router_id,
                               src.ack->routers[0].port_ids.at(0),
-                              util::Bytes(256, 0xC3), /*compressed=*/false,
-                              /*epoch=*/0, trace_id);
+                              util::Bytes(256, 0xC3),
+                              wire::PayloadCoding::kRaw, /*epoch=*/0,
+                              trace_id);
   }
   src.transport->send(batch.view());
   net.run_for(util::Duration::milliseconds(100));
@@ -1797,7 +2061,7 @@ TEST_F(RnlStack, TracedFrameAcrossEpochBumpEmitsTerminalDropSpan) {
   wire::encode_message_into(w, wire::MessageType::kData,
                             second.ack->routers[0].router_id,
                             second.ack->routers[0].port_ids.at(0), frame,
-                            /*compressed=*/false, /*epoch=*/0, trace_id);
+                            wire::PayloadCoding::kRaw, /*epoch=*/0, trace_id);
   second.transport->send(w.view());
   net.run_for(util::Duration::milliseconds(200));
 
@@ -1831,7 +2095,7 @@ TEST_F(RnlStack, SpoofedPortDropEmitsDropReasonInstant) {
   util::Bytes frame(64, 0xAA);
   util::ByteWriter w;
   wire::encode_message_into(w, wire::MessageType::kData, router_of("us-west/h1"),
-                            p1, frame, /*compressed=*/false, /*epoch=*/0,
+                            p1, frame, wire::PayloadCoding::kRaw, /*epoch=*/0,
                             trace_id);
   attacker->send(w.view());
   net.run_for(util::Duration::seconds(1));

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "transport/sim_stream.h"
 #include "transport/tcp.h"
@@ -392,6 +394,73 @@ TEST(TcpLoopback, PeerCloseDetected) {
   (*client)->close();
   ASSERT_TRUE(loop.run_until([&] { return closed; }));
   EXPECT_FALSE(server_side->is_open());
+}
+
+TEST(TcpLoopback, FullReadsContinueWithinOneRunOnce) {
+  // on_readable stops after a read shorter than its 16 KiB buffer (the
+  // kernel queue was empty) but keeps reading after a full one: a 40 KiB
+  // burst already queued is delivered whole by a single run_once.
+  TcpEventLoop loop;
+  TcpListener listener(loop);
+  std::unique_ptr<TcpTransport> server_side;
+  std::vector<std::size_t> chunks;
+  ASSERT_TRUE(listener
+                  .listen(0, [&](std::unique_ptr<TcpTransport> t) {
+                    server_side = std::move(t);
+                    server_side->set_receive_handler(
+                        [&](util::BytesView chunk) {
+                          chunks.push_back(chunk.size());
+                        });
+                  })
+                  .ok());
+  auto client = tcp_connect(loop, listener.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(loop.run_until([&] { return server_side != nullptr; }));
+
+  const util::Bytes burst(40 * 1024, 0x5C);
+  (*client)->send(burst);
+  ASSERT_EQ((*client)->queued_bytes(), 0u);  // the kernel took all of it
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  loop.run_once(1000);
+  std::size_t received = 0;
+  for (std::size_t chunk : chunks) received += chunk;
+  EXPECT_EQ(received, burst.size());
+  EXPECT_GE(chunks.size(), 3u);  // at most 16 KiB per read
+}
+
+TEST(TcpLoopback, BytesThenCloseArriveWithinTwoRunOnceCalls) {
+  // A short read ends the read loop, so a FIN queued behind the bytes is
+  // not seen in the same round; level-triggered poll() reports it on the
+  // next. The receiver gets the bytes first, then the close.
+  TcpEventLoop loop;
+  TcpListener listener(loop);
+  std::unique_ptr<TcpTransport> server_side;
+  std::vector<std::string> events;
+  ASSERT_TRUE(listener
+                  .listen(0, [&](std::unique_ptr<TcpTransport> t) {
+                    server_side = std::move(t);
+                  })
+                  .ok());
+  auto client = tcp_connect(loop, listener.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(loop.run_until([&] { return server_side != nullptr; }));
+  std::size_t received = 0;
+  server_side->set_receive_handler([&](util::BytesView chunk) {
+    received += chunk.size();
+    events.emplace_back("data");
+  });
+  server_side->set_close_handler([&] { events.emplace_back("close"); });
+
+  (*client)->send(util::Bytes(100, 0x77));
+  (*client)->close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  loop.run_once(1000);
+  if (server_side->is_open()) loop.run_once(1000);
+  EXPECT_FALSE(server_side->is_open());
+  EXPECT_EQ(received, 100u);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front(), "data");
+  EXPECT_EQ(events.back(), "close");
 }
 
 TEST(TcpLoopback, RunOncePollRetriesOnEintr) {

@@ -10,6 +10,8 @@
 namespace rnl::wire {
 namespace {
 
+util::Bytes copy_of(util::BytesView view) { return {view.begin(), view.end()}; }
+
 TEST(TunnelCodec, EncodeDecodeSingleMessage) {
   TunnelMessage msg;
   msg.type = MessageType::kData;
@@ -159,7 +161,7 @@ TEST(TunnelCodec, TracedFrameRoundTripsItsTraceId) {
   util::ByteWriter w;
   encode_message_into(w, MessageType::kData, 7, 42,
                       util::BytesView(payload.data(), payload.size()),
-                      /*compressed=*/false, /*epoch=*/5,
+                      PayloadCoding::kRaw, /*epoch=*/5,
                       /*trace_id=*/0xCAFEBABE12345678ull);
   MessageDecoder decoder;
   const auto& views = decoder.feed_views(w.view());
@@ -205,14 +207,14 @@ TEST(TunnelCodec, TracedFrameShorterThanItsTraceIdIsAFramingError) {
 }
 
 TEST(TunnelCodec, RejectsUndefinedReservedFlagBits) {
-  // The low flag byte defines bit0 (compressed) and bit1 (traced); every
-  // other bit is reserved and a frame setting one must be rejected as a
-  // framing error, not silently accepted — otherwise a future flag could
-  // never be introduced safely (old decoders would mis-parse frames whose
-  // new flag changes the payload layout, exactly like kFlagTraced does).
+  // The low flag byte defines bit0 (compressed), bit1 (traced) and bit2
+  // (recorded); every other bit is reserved and a frame setting one must be
+  // rejected as a framing error, not silently accepted — otherwise a future
+  // flag could never be introduced safely (old decoders would mis-parse
+  // frames whose new flag changes the payload layout, exactly like
+  // kFlagTraced does).
   for (const std::uint16_t junk :
-       {std::uint16_t{0x0004}, std::uint16_t{0x0008}, std::uint16_t{0x0080},
-        std::uint16_t{0x00FC}}) {
+       {std::uint16_t{0x0008}, std::uint16_t{0x0080}, std::uint16_t{0x00F8}}) {
     TunnelMessage msg;
     msg.type = MessageType::kData;
     msg.router_id = 1;
@@ -227,18 +229,56 @@ TEST(TunnelCodec, RejectsUndefinedReservedFlagBits) {
     decoder.feed(wire);
     EXPECT_TRUE(decoder.failed()) << "flags 0x" << std::hex << junk;
   }
-  // Control: the defined bits plus an epoch byte still decode.
+  // Control: the defined bits plus an epoch byte still decode — a raw
+  // frame with 0x0004 set comes out recorded but not compressed.
   util::ByteWriter w;
   encode_message_into(w, MessageType::kData, 1, 2,
                       util::BytesView{},
-                      /*compressed=*/false, /*epoch=*/7,
+                      PayloadCoding::kRecorded, /*epoch=*/7,
                       /*trace_id=*/1);
+  EXPECT_EQ(w.view()[7], kFlagTraced | kFlagRecorded);
   MessageDecoder ok_decoder;
   const auto& ok_views = ok_decoder.feed_views(w.view());
   ASSERT_EQ(ok_views.size(), 1u);
   EXPECT_FALSE(ok_decoder.failed());
   EXPECT_EQ(ok_views[0].epoch, 7u);
   EXPECT_EQ(ok_views[0].trace_id, 1u);
+  EXPECT_TRUE(ok_views[0].recorded);
+  EXPECT_FALSE(ok_views[0].compressed);
+}
+
+TEST(TunnelCodec, CompressedFrameWithoutRecordedBitIsAFramingError) {
+  // A diff references the sender's codec history, so a compressed frame the
+  // sender did not record cannot be inflated in step: the stream is
+  // poisoned at the header, before the payload arrives, like a traced frame
+  // too short for its id. The frame before it in the chunk still decodes.
+  util::ByteWriter w;
+  encode_message_into(w, MessageType::kKeepalive, 0, 0, {});
+  w.u32(0x524E4C31);  // magic "RNL1"
+  w.u8(1);            // version
+  w.u8(3);            // kData
+  w.u16(0x0200 | kFlagCompressed);  // epoch 2, compressed, not recorded
+  w.u32(1);  // router
+  w.u32(1);  // port
+  w.u32(64);  // length; only the header is here yet
+  MessageDecoder decoder;
+  const auto& views = decoder.feed_views(w.view());
+  EXPECT_TRUE(decoder.failed());
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].type, MessageType::kKeepalive);
+
+  // The encoder cannot produce that combination: kCompressed sets both bits.
+  util::ByteWriter good;
+  const util::Bytes diff = {0x01, 0x01, 0x03, 0x03, 0x00};
+  encode_message_into(good, MessageType::kData, 1, 1, diff,
+                      PayloadCoding::kCompressed, /*epoch=*/2);
+  EXPECT_EQ(good.view()[7], kFlagCompressed | kFlagRecorded);
+  MessageDecoder ok_decoder;
+  const auto& ok_views = ok_decoder.feed_views(good.view());
+  EXPECT_FALSE(ok_decoder.failed());
+  ASSERT_EQ(ok_views.size(), 1u);
+  EXPECT_TRUE(ok_views[0].compressed);
+  EXPECT_TRUE(ok_views[0].recorded);
 }
 
 namespace {
@@ -494,12 +534,13 @@ TEST(TunnelCodec, EpochRoundTripsThroughFlagsHighByte) {
   util::ByteWriter w;
   util::Bytes payload{9, 9, 9};
   encode_message_into(w, MessageType::kData, 3, 4, payload,
-                      /*compressed=*/true, /*epoch=*/7);
+                      PayloadCoding::kCompressed, /*epoch=*/7);
   MessageDecoder decoder;
   const auto& views = decoder.feed_views(w.view());
   ASSERT_EQ(views.size(), 1u);
   EXPECT_EQ(views[0].epoch, 7);
   EXPECT_TRUE(views[0].compressed);  // epoch must not clobber the low byte
+  EXPECT_TRUE(views[0].recorded);
 
   // Pre-epoch encoders (and the default args) emit epoch 0 — the first
   // session — so old streams keep decoding as before.
@@ -573,7 +614,7 @@ TEST(Compression, TemplateTrafficCompressesHard) {
     if (compressed.has_value()) {
       auto inflated = decompressor.decompress(*compressed);
       ASSERT_TRUE(inflated.ok());
-      EXPECT_EQ(*inflated, frame);
+      EXPECT_EQ(copy_of(*inflated), frame);
     } else {
       decompressor.note_raw(frame);
     }
@@ -618,7 +659,7 @@ TEST(Compression, MixedSizesRoundTripLossless) {
       ASSERT_LT(compressed->size(), frame.size());
       auto inflated = decompressor.decompress(*compressed);
       ASSERT_TRUE(inflated.ok());
-      ASSERT_EQ(*inflated, frame);
+      ASSERT_EQ(copy_of(*inflated), frame);
     } else {
       decompressor.note_raw(frame);
     }
@@ -633,59 +674,117 @@ TEST(Compression, DecompressorRejectsCorruptInput) {
   decompressor.note_raw(frame);
   auto compressed = compressor.compress(frame);
   ASSERT_TRUE(compressed.has_value());
-  util::Bytes corrupt = *compressed;
+  util::Bytes corrupt = copy_of(*compressed);
   corrupt[1] = 200;  // absurd reference age
   EXPECT_FALSE(decompressor.decompress(corrupt).ok());
   util::Bytes truncated(compressed->begin(), compressed->begin() + 2);
   EXPECT_FALSE(decompressor.decompress(truncated).ok());
 }
 
-TEST(Compression, NoteOutgoingKeepsRingsInLockstep) {
-  // Frames sent while compression is administratively off must still advance
-  // the encoder ring (note_outgoing / note_raw) or the first compressed
-  // frame after re-enabling references history the peer never recorded.
+TEST(Compression, FramesSentWhileDisabledTouchNeitherRing) {
+  // The recorded-bit rule end to end through the framing: while enabled,
+  // the sender offers every frame to compress() and sends it with
+  // kFlagRecorded, compressed or raw; while disabled it sends kRaw without
+  // touching its codec. The receiver records exactly the frames carrying
+  // the bit. Disabled runs of unrelated frames longer than the ring would
+  // flush the template out of a ring that recorded them, so the first frame
+  // after each re-enable diffing against the last pre-toggle frame (age 1)
+  // and inflating intact shows neither ring saw the disabled run.
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
-  util::Bytes frame(400, 0x42);
-  auto send = [&](bool enabled) {
+  MessageDecoder decoder;
+  util::ByteWriter wire;
+  util::Rng rng(7);
+  auto transmit = [&](const util::Bytes& frame, bool enabled) {
+    util::BytesView payload = frame;
+    PayloadCoding coding = PayloadCoding::kRaw;
     if (enabled) {
-      auto compressed = compressor.compress(frame);
-      if (compressed.has_value()) {
-        auto inflated = decompressor.decompress(*compressed);
-        ASSERT_TRUE(inflated.ok());
-        ASSERT_EQ(*inflated, frame);
-      } else {
-        decompressor.note_raw(frame);
-      }
-    } else {
-      // Disabled fast path: record without searching for a reference.
-      compressor.note_outgoing(frame);
-      decompressor.note_raw(frame);
+      const auto compressed = compressor.compress(frame);
+      payload = compressed.value_or(payload);
+      coding = compressed ? PayloadCoding::kCompressed
+                          : PayloadCoding::kRecorded;
     }
+    wire.clear();
+    encode_message_into(wire, MessageType::kData, 1, 1, payload, coding);
+    const auto& views = decoder.feed_views(wire.view());
+    EXPECT_EQ(views.size(), 1u);
+    const MessageDecoder::DecodedView& msg = views.at(0);
+    EXPECT_EQ(msg.recorded, enabled);
+    util::Bytes received = copy_of(msg.payload);
+    if (msg.compressed) {
+      auto inflated = decompressor.decompress(msg.payload);
+      EXPECT_TRUE(inflated.ok());
+      if (inflated.ok()) received = copy_of(*inflated);
+    } else if (msg.recorded) {
+      decompressor.note_raw(msg.payload);
+    }
+    EXPECT_EQ(received, frame);
+    return msg.compressed ? msg.payload[1] : 0;  // reference age, 0 if raw
   };
+  util::Bytes frame(400, 0x42);
   std::uint32_t seq = 0;
-  auto stamp = [&] {
+  auto next_template = [&]() -> const util::Bytes& {
     frame[0] = static_cast<std::uint8_t>(seq >> 8);
     frame[1] = static_cast<std::uint8_t>(seq);
     ++seq;
+    return frame;
   };
-  // Warm up compressed, toggle off mid-stream, back on — several times, with
-  // toggle runs longer and shorter than the ring.
-  for (int run :
-       {5, 3, static_cast<int>(TemplateCompressor::kRingSize) + 4, 7, 2, 9}) {
-    for (int i = 0; i < run; ++i) {
-      stamp();
-      send(/*enabled=*/run % 2 == 1);
+  std::uint64_t enabled_frames = 0;
+  const int ring = static_cast<int>(TemplateCompressor::kRingSize);
+  for (const int disabled_run : {ring + 4, 3, 2 * ring, 1, ring}) {
+    for (int i = 0; i < 3; ++i, ++enabled_frames) {
+      transmit(next_template(), /*enabled=*/true);
     }
+    for (int i = 0; i < disabled_run; ++i) {
+      util::Bytes noise(100 + rng.below(300));
+      for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_u32());
+      transmit(noise, /*enabled=*/false);
+    }
+    ++enabled_frames;
+    EXPECT_EQ(transmit(next_template(), /*enabled=*/true), 1u)
+        << "after a disabled run of " << disabled_run;
   }
-  // After the last toggle cycle, template traffic must compress again and
-  // round-trip: the rings never diverged.
-  std::uint64_t before = compressor.stats().frames_compressed;
-  for (int i = 0; i < 8; ++i) {
-    stamp();
-    send(/*enabled=*/true);
-  }
-  EXPECT_GE(compressor.stats().frames_compressed - before, 7u);
+  EXPECT_FALSE(decoder.failed());
+  EXPECT_EQ(compressor.stats().frames_in, enabled_frames);
+  EXPECT_EQ(compressor.stats().frames_compressed, enabled_frames - 1);
+}
+
+TEST(Compression, SteadyStateAllocatesNothing) {
+  // compress() writes into a scratch buffer it owns and decompress() into a
+  // ring buffer; every buffer keeps its capacity. Once each ring slot (and
+  // the decompressor's spare) has held a full-size frame, template traffic
+  // grows nothing at either end.
+  TemplateCompressor compressor;
+  TemplateDecompressor decompressor;
+  util::Bytes frame(900, 0x5A);
+  auto pump = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      frame[40] = static_cast<std::uint8_t>(i);
+      auto compressed = compressor.compress(frame);
+      if (!compressed.has_value()) {
+        decompressor.note_raw(frame);
+        continue;
+      }
+      auto inflated = decompressor.decompress(*compressed);
+      ASSERT_TRUE(inflated.ok());
+      ASSERT_EQ(copy_of(*inflated), frame);
+    }
+  };
+  pump(2 * static_cast<int>(TemplateCompressor::kRingSize) + 2);
+  const std::uint64_t tx_allocs = compressor.allocations();
+  const std::uint64_t rx_allocs = decompressor.allocations();
+  EXPECT_GT(tx_allocs, 0u);
+  EXPECT_GT(rx_allocs, 0u);
+  pump(200);
+  EXPECT_EQ(compressor.allocations(), tx_allocs);
+  EXPECT_EQ(decompressor.allocations(), rx_allocs);
+  EXPECT_GT(compressor.stats().frames_compressed, 200u);
+
+  // A larger frame grows buffers again, once per buffer it lands in.
+  frame.resize(1400, 0x5A);
+  pump(1);
+  EXPECT_EQ(compressor.allocations(), tx_allocs + 1);
+  EXPECT_EQ(decompressor.allocations(), rx_allocs + 1);
 }
 
 TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
@@ -697,21 +796,19 @@ TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
   util::Bytes frame(600, 0x5A);
-  auto pump = [&](TemplateDecompressor& rx, int n) {
-    std::optional<util::Bytes> last;
+  auto pump = [&](TemplateDecompressor& rx, int n) -> util::Status {
     for (int i = 0; i < n; ++i) {
       frame[7] = static_cast<std::uint8_t>(i);
       auto compressed = compressor.compress(frame);
       if (compressed.has_value()) {
-        last = compressed;
         auto inflated = rx.decompress(*compressed);
-        if (!inflated.ok()) return inflated;
-        EXPECT_EQ(*inflated, frame);
+        if (!inflated.ok()) return util::Error{inflated.error()};
+        EXPECT_EQ(copy_of(*inflated), frame);
       } else {
         rx.note_raw(frame);
       }
     }
-    return util::Result<util::Bytes>(frame);
+    return util::Status::Ok();
   };
   ASSERT_TRUE(pump(decompressor, 10).ok());
   ASSERT_GT(compressor.stats().frames_compressed, 0u);
@@ -735,14 +832,16 @@ TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
 
 TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
   // Mixed workload: template bursts (compressible) interleaved with random
-  // frames (sent raw via the nullopt path) and disabled-phase frames (sent
-  // raw via note_outgoing). The decompressor must reproduce every frame.
+  // frames (sent raw but recorded via the nullopt path) and disabled-phase
+  // frames (sent raw without kFlagRecorded, bypassing both codecs). The
+  // decompressor must reproduce every frame.
   util::Rng rng(4242);
   TemplateCompressor compressor;
   TemplateDecompressor decompressor;
   util::Bytes base(350);
   for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_u32());
   bool enabled = true;
+  std::uint64_t enabled_frames = 0;
   for (int i = 0; i < 400; ++i) {
     if (i % 37 == 0) enabled = !enabled;  // mid-stream toggles
     util::Bytes frame;
@@ -755,25 +854,26 @@ TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
     }
     util::Bytes received;
     if (enabled) {
+      ++enabled_frames;
       auto compressed = compressor.compress(frame);
       if (compressed.has_value()) {
         auto inflated = decompressor.decompress(*compressed);
         ASSERT_TRUE(inflated.ok()) << "frame " << i;
-        received = std::move(*inflated);
+        received = copy_of(*inflated);
       } else {
         decompressor.note_raw(frame);
         received = frame;
       }
     } else {
-      compressor.note_outgoing(frame);
-      decompressor.note_raw(frame);
       received = frame;
     }
     ASSERT_EQ(received, frame) << "frame " << i;
   }
-  // The template share must actually have exercised the compressed path.
+  // The template share must actually have exercised the compressed path,
+  // and only frames sent while enabled reached the compressor.
   EXPECT_GT(compressor.stats().frames_compressed, 100u);
-  EXPECT_EQ(compressor.stats().frames_in, 400u);
+  EXPECT_EQ(compressor.stats().frames_in, enabled_frames);
+  EXPECT_LT(enabled_frames, 400u);
 }
 
 // ---------------------------------------------------------------------------
