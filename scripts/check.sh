@@ -39,9 +39,14 @@
 #              cross-shard SPSC wire rings and their recycled buffers, and
 #              the threaded sharded route-server lifecycle (kill/rejoin +
 #              concurrent snapshots).
-#   --bench    shard-scaling bench smoke: run bench_routeserver_scaling in
-#              --quick mode and assert that every sharded row, from 1 shard
-#              (the central funnel) up to one shard per user, drove the
+#   --bench    bench smokes. JSON codec table (E15): run bench_json --quick
+#              and assert it reports every payload row (fleet JOIN,
+#              JoinAck, API request and reply, the epochs snapshot at
+#              1k/16k/64k sites) with nonzero time and allocation counts,
+#              so the harness cannot rot. Shard scaling: run
+#              bench_routeserver_scaling in --quick mode and assert that
+#              every sharded row, from 1 shard (the central funnel) up to
+#              one shard per user, drove the
 #              forward fast path and delivered (frames_routed,
 #              fast_path_frames and delivered_frames > 0), kept every wire
 #              shard-local (zero cross-shard frames, zero wire-ring drops),
@@ -218,6 +223,24 @@ for row in sharded:
             f"{where}: shard speedup {speedup:.2f}x < 1.15x"
 print(f"bench smoke OK: {len(sharded)} sharded rows, "
       f"fast path live and shard scaling intact")
+EOF
+  echo "=== bench: JSON codec cost table smoke (bench_json --quick) ==="
+  ./build/bench/bench_json --quick --out build/BENCH_json_quick.json
+  python3 - <<'EOF'
+import json
+with open("build/BENCH_json_quick.json") as f:
+    rows = {row["name"]: row for row in json.load(f)["rows"]}
+expected = ["join.parse", "join.encode", "join_ack.encode", "join_ack.parse",
+            "api.request_parse", "api.reply_encode", "api.reply_parse"]
+for sites in ("1k", "16k", "64k"):
+    expected += [f"epochs_{sites}.encode", f"epochs_{sites}.parse"]
+missing = [name for name in expected if name not in rows]
+assert not missing, f"bench_json rows missing: {missing}"
+for name in expected:
+    row = rows[name]
+    assert row["bytes"] > 0 and row["ns_min"] > 0, f"{name}: empty row"
+    assert row["allocs_min"] > 0, f"{name}: no allocations counted"
+print(f"bench_json smoke OK: {len(expected)} rows")
 EOF
 fi
 

@@ -162,6 +162,48 @@ write("json", "control_chars.json", '"\\u0000\\u001f"')
 write("json", "trailing_garbage.json", "{} extra")
 write("json", "unterminated_string.json", '"abc')
 write("json", "nan_literals.json", "[NaN, Infinity]")
+# Control-plane payloads as the system sends them: the JOIN of one
+# perfbench fleet_rejoin site (one 2-port router), a JoinAck, and a
+# lab_deploy design.connect request.
+write("json", "fleet_join.json",
+      '{"routers":[{"console":"","description":"harness device",'
+      '"image":"h.png","name":"site-qwertyui/h","ports":[{"description":'
+      '"p0","name":"p0","nic":"site-qwertyui-nic1","rect":[0,0,40,20]},'
+      '{"description":"p1","name":"p1","nic":"site-qwertyui-nic2",'
+      '"rect":[0,0,40,20]}]}],"site":"site-qwertyui"}')
+write("json", "join_ack.json",
+      '{"epoch":3,"routers":[{"port_ids":[1027,1028],"router_id":514}]}')
+write("json", "design_connect.json",
+      '{"method":"design.connect","params":{"design_id":17,"a":301,'
+      '"b":305}}')
+# Escapes between long unescaped runs, in a key and in a value: the
+# parser copies each run whole and the printer must split at each escape.
+write("json", "escapes_between_runs.json",
+      '{"' + "k" * 40 + '\\t' + "key" * 10 + '":"' + "a" * 40 + '\\n' +
+      "b" * 40 + '\\"' + "c" * 40 + '\\u00e9' + "d" * 40 + '\\\\' +
+      "e" * 40 + '\\u0001' + "f" * 40 + '"}')
+write("json", "unicode_escape_cut_after_run.json", '"' + "x" * 48 + '\\u00')
+# Every escape the parser decodes and the printer writes: the short forms,
+# \u below 0x20 (printed back as \u00xx), and \u values at the UTF-8
+# width edges (printed back raw).
+write("json", "all_escapes.json",
+      '"\\b\\f\\n\\r\\t\\"\\\\\\/\\u0000\\u001f\\u007f\\u0080\\u07ff\\u0800'
+      '\\uFFFF x"')
+# Mixed array/object nesting with the innermost value at depth 128 (the
+# limit, accepted) and 129 (rejected).
+def mixed_nest(containers):
+    opens = "".join('[' if i % 2 == 0 else '{"k":' for i in range(containers))
+    closes = "".join(']' if i % 2 == 0 else '}'
+                     for i in reversed(range(containers)))
+    return opens + "1" + closes
+write("json", "mixed_nest_depth_128.json", mixed_nest(128))
+write("json", "mixed_nest_depth_129.json", mixed_nest(129))
+# Number forms whose printed bytes the golden records pin: strtod's
+# lenient spellings, and values at and past the edges of the integer path.
+write("json", "number_lenient_forms.json", "[+1,.5,1.,01,-.5,1.e3,-0,1E2]")
+write("json", "number_print_edges.json",
+      "[0.1,1e16,123456789012345678,9007199254740993,999999999999999,"
+      "-999999999999999,8999999999999999,9000000000000000,2.5,-1e-7]")
 
 # -- api: request batches, including PR 1's two hand-found hostile inputs --
 write("api", "hostile_capture_port.txt",

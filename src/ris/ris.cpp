@@ -60,8 +60,12 @@ RouterInterface::RouterInterface(simnet::Network& net, std::string site_name,
   egress_batch_hist_ =
       &metrics_->histogram(metrics_prefix_ + "egress_batch_frames");
   backoff_hist_ = &metrics_->histogram(metrics_prefix_ + "backoff_ns");
-  compressor_.set_ratio_histogram(
-      &metrics_->histogram("wire.compression_ratio_x100"));
+  compression_ratio_hist_ = &metrics_->histogram("wire.compression_ratio_x100");
+}
+
+const wire::CompressionStats& RouterInterface::compression_stats() const {
+  static const wire::CompressionStats kNone;
+  return compressor_ ? compressor_->stats() : kNone;
 }
 
 void RouterInterface::set_tracer(util::Tracer* tracer) {
@@ -213,8 +217,9 @@ void RouterInterface::start_session(
   }
   transport_ = std::move(transport);
   // A new connection is a new session: any half-frame from the old stream
-  // and both compression rings are history the peer no longer shares. The
-  // route server does the same reset per epoch on its side.
+  // and both compression rings are history the peer no longer shares, so
+  // the codecs go with it. The route server starts each session with none
+  // on its side too.
   decoder_.reset();
   compressor_.reset();
   decompressor_.reset();
@@ -385,12 +390,16 @@ void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
   wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
   bool codec_grew = false;
   if (compression_enabled_) {
-    const std::uint64_t allocs_before = compressor_.allocations();
-    const auto compressed = compressor_.compress(frame);
+    if (!compressor_) {
+      compressor_ = std::make_unique<wire::TemplateCompressor>();
+      compressor_->set_ratio_histogram(compression_ratio_hist_);
+    }
+    const std::uint64_t allocs_before = compressor_->allocations();
+    const auto compressed = compressor_->compress(frame);
     payload = compressed.value_or(frame);
     coding = compressed ? wire::PayloadCoding::kCompressed
                         : wire::PayloadCoding::kRecorded;
-    codec_grew = compressor_.allocations() != allocs_before;
+    codec_grew = compressor_->allocations() != allocs_before;
     if (codec_grew) ++stats_.payload_allocs;
   }
   wire::encode_message_into(w, wire::MessageType::kData, router_id, port_id,
@@ -430,8 +439,9 @@ void RouterInterface::handle_message(
     const wire::MessageDecoder::DecodedView& msg) {
   switch (msg.type) {
     case wire::MessageType::kJoinAck: {
-      std::string json(msg.payload.begin(), msg.payload.end());
-      auto parsed = util::Json::parse(json);
+      auto parsed = util::Json::parse(std::string_view(
+          reinterpret_cast<const char*>(msg.payload.data()),
+          msg.payload.size()));
       if (!parsed.ok()) {
         ++stats_.decode_errors;
         return;
@@ -500,18 +510,21 @@ void RouterInterface::handle_message(
       // ring.
       util::BytesView frame = msg.payload;
       if (msg.recorded) {
-        const std::uint64_t allocs_before = decompressor_.allocations();
+        if (!decompressor_) {
+          decompressor_ = std::make_unique<wire::TemplateDecompressor>();
+        }
+        const std::uint64_t allocs_before = decompressor_->allocations();
         if (msg.compressed) {
-          auto inflated = decompressor_.decompress(msg.payload);
+          auto inflated = decompressor_->decompress(msg.payload);
           if (!inflated.ok()) {
             ++stats_.decode_errors;
             return;
           }
           frame = *inflated;
         } else {
-          decompressor_.note_raw(msg.payload);
+          decompressor_->note_raw(msg.payload);
         }
-        if (decompressor_.allocations() != allocs_before) {
+        if (decompressor_->allocations() != allocs_before) {
           ++stats_.payload_allocs;
         }
       }

@@ -177,11 +177,10 @@ class RouterInterface {
   static constexpr std::size_t kUplinkBatchBytes = 16 * 1024;
 
   [[nodiscard]] const RisStats& stats() const { return stats_; }
-  /// Uplink codec counters; frames sent with compression off are not in
-  /// them.
-  [[nodiscard]] const wire::CompressionStats& compression_stats() const {
-    return compressor_.stats();
-  }
+  /// Uplink codec counters for the current session; frames sent with
+  /// compression off are not in them. Zero until the session's first frame
+  /// sent with compression on creates the compressor.
+  [[nodiscard]] const wire::CompressionStats& compression_stats() const;
 
   /// Attaches this site to a trace sink (nullptr detaches). While the
   /// tracer is enabled, the capture path head-samples frames (the tracer's
@@ -262,8 +261,14 @@ class RouterInterface {
   util::Bytes join_wire_;
   std::unique_ptr<transport::Transport> transport_;
   wire::MessageDecoder decoder_;
-  wire::TemplateCompressor compressor_;
-  wire::TemplateDecompressor decompressor_;
+  /// Per-session codecs, created on first use: the compressor by the first
+  /// frame sent with compression on, the decompressor by the first recorded
+  /// frame received. Compression is off by default and each codec is a
+  /// 16-slot ring of frame buffers, so a site that never compresses carries
+  /// neither.
+  std::unique_ptr<wire::TemplateCompressor> compressor_;
+  std::unique_ptr<wire::TemplateDecompressor> decompressor_;
+  util::Histogram* compression_ratio_hist_ = nullptr;
   /// Reusable send buffer: data frames serialize into it in place (cleared
   /// per send, capacity kept), so steady-state uplink is allocation-free.
   util::ByteWriter send_buffer_;

@@ -107,7 +107,6 @@ void RouteServer::accept(std::unique_ptr<transport::Transport> transport) {
   purge_dead_sites();
   auto site = std::make_unique<Site>();
   Site* raw = site.get();
-  site->compressor.set_ratio_histogram(compression_ratio_hist_);
   site->last_heard = scheduler_.now();
   site->transport = std::move(transport);
   site->transport->set_receive_handler(
@@ -737,18 +736,21 @@ void RouteServer::handle_data(Site* site,
   util::BytesView frame = msg.payload;
   bool slow = false;
   if (msg.recorded) {
-    const std::uint64_t allocs_before = site->decompressor.allocations();
+    if (!site->decompressor) {
+      site->decompressor = std::make_unique<wire::TemplateDecompressor>();
+    }
+    const std::uint64_t allocs_before = site->decompressor->allocations();
     if (msg.compressed) {
-      auto inflated = site->decompressor.decompress(msg.payload);
+      auto inflated = site->decompressor->decompress(msg.payload);
       if (!inflated.ok()) {
         ++stats_.decode_errors;
         return;
       }
       frame = *inflated;
     } else {
-      site->decompressor.note_raw(msg.payload);
+      site->decompressor->note_raw(msg.payload);
     }
-    if (site->decompressor.allocations() != allocs_before) {
+    if (site->decompressor->allocations() != allocs_before) {
       ++stats_.dataplane.payload_allocs;
       slow = true;
     }
@@ -878,12 +880,16 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
   util::BytesView payload = frame;
   wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
   if (compression_enabled_) {
-    const std::uint64_t allocs_before = site->compressor.allocations();
-    const auto compressed = site->compressor.compress(frame);
+    if (!site->compressor) {
+      site->compressor = std::make_unique<wire::TemplateCompressor>();
+      site->compressor->set_ratio_histogram(compression_ratio_hist_);
+    }
+    const std::uint64_t allocs_before = site->compressor->allocations();
+    const auto compressed = site->compressor->compress(frame);
     payload = compressed.value_or(frame);
     coding = compressed ? wire::PayloadCoding::kCompressed
                         : wire::PayloadCoding::kRecorded;
-    if (site->compressor.allocations() != allocs_before) {
+    if (site->compressor->allocations() != allocs_before) {
       ++stats_.dataplane.payload_allocs;  // scratch buffer or ring slot grew
       slow = true;
     }

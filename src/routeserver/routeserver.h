@@ -388,9 +388,11 @@ class RouteServer {
     std::unique_ptr<transport::Transport> transport;
     wire::MessageDecoder decoder;
     // Per-direction codecs: decompress what the site sends, compress what
-    // we send to it.
-    wire::TemplateDecompressor decompressor;
-    wire::TemplateCompressor compressor;
+    // we send to it. Created on first use (the first recorded frame in, the
+    // first frame out with compression on), so a session that never
+    // compresses carries neither codec's rings.
+    std::unique_ptr<wire::TemplateDecompressor> decompressor;
+    std::unique_ptr<wire::TemplateCompressor> compressor;
     /// Reusable buffer: outgoing frames serialize straight into it
     /// (cleared, capacity kept), so it stops allocating once it has seen
     /// the site's largest batch. Decompressed inbound payloads land in the

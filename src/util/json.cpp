@@ -1,11 +1,15 @@
 #include "util/json.h"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
 
 namespace rnl::util {
+
+static_assert(sizeof(Json) <= 40, "a Json value is a 40-byte variant");
 
 namespace {
 const Json& shared_null() {
@@ -27,83 +31,96 @@ const JsonObject& shared_empty_object() {
 }  // namespace
 
 Json::Json(JsonArray a)
-    : type_(Type::kArray), array_(std::make_shared<JsonArray>(std::move(a))) {}
+    : Json(a.empty() ? ArrayPtr{} : std::make_shared<JsonArray>(std::move(a))) {}
 
 Json::Json(JsonObject o)
-    : type_(Type::kObject),
-      object_(std::make_shared<JsonObject>(std::move(o))) {}
+    : Json(o.empty() ? ObjectPtr{}
+                     : std::make_shared<JsonObject>(std::move(o))) {}
 
 bool Json::as_bool(bool fallback) const {
-  return is_bool() ? bool_ : fallback;
+  const bool* b = std::get_if<bool>(&value_);
+  return b != nullptr ? *b : fallback;
 }
 
 double Json::as_number(double fallback) const {
-  return is_number() ? number_ : fallback;
+  const double* d = std::get_if<double>(&value_);
+  return d != nullptr ? *d : fallback;
 }
 
 std::int64_t Json::as_int(std::int64_t fallback) const {
-  if (!is_number() || std::isnan(number_)) return fallback;
+  const double* d = std::get_if<double>(&value_);
+  if (d == nullptr || std::isnan(*d)) return fallback;
   // llround outside int64's range is undefined behaviour, and every API id
   // field funnels attacker-chosen numbers through here — clamp instead.
   constexpr double kInt64Edge = 9223372036854775808.0;  // 2^63
-  if (number_ >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-  if (number_ < -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-  return static_cast<std::int64_t>(std::llround(number_));
+  if (*d >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
+  if (*d < -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(std::llround(*d));
 }
 
 const std::string& Json::as_string() const {
-  return is_string() ? string_ : shared_empty_string();
+  const std::string* s = std::get_if<std::string>(&value_);
+  return s != nullptr ? *s : shared_empty_string();
 }
 
 const JsonArray& Json::as_array() const {
-  return is_array() && array_ ? *array_ : shared_empty_array();
+  const ArrayPtr* a = std::get_if<ArrayPtr>(&value_);
+  return a != nullptr && *a ? **a : shared_empty_array();
 }
 
 const JsonObject& Json::as_object() const {
-  return is_object() && object_ ? *object_ : shared_empty_object();
+  const ObjectPtr* o = std::get_if<ObjectPtr>(&value_);
+  return o != nullptr && *o ? **o : shared_empty_object();
 }
 
 const Json& Json::operator[](std::string_view key) const {
-  if (!is_object() || !object_) return shared_null();
-  auto it = object_->find(std::string(key));
-  return it == object_->end() ? shared_null() : it->second;
+  const JsonObject& object = as_object();
+  auto it = object.find(key);
+  return it == object.end() ? shared_null() : it->second;
 }
 
 const Json& Json::at(std::size_t index) const {
-  if (!is_array() || !array_ || index >= array_->size()) return shared_null();
-  return (*array_)[index];
+  const JsonArray& array = as_array();
+  return index < array.size() ? array[index] : shared_null();
 }
 
 bool Json::contains(std::string_view key) const {
-  return is_object() && object_ &&
-         object_->find(std::string(key)) != object_->end();
+  const JsonObject& object = as_object();
+  return object.find(key) != object.end();
+}
+
+// Copy-on-write: containers are shared between copies of Json values; never
+// mutate a container another Json can still see.
+JsonArray& Json::mutable_array() {
+  ArrayPtr* a = std::get_if<ArrayPtr>(&value_);
+  if (a == nullptr) a = &value_.emplace<ArrayPtr>();
+  if (!*a) {
+    *a = std::make_shared<JsonArray>();
+  } else if (a->use_count() > 1) {
+    *a = std::make_shared<JsonArray>(**a);
+  }
+  return **a;
+}
+
+JsonObject& Json::mutable_object() {
+  ObjectPtr* o = std::get_if<ObjectPtr>(&value_);
+  if (o == nullptr) o = &value_.emplace<ObjectPtr>();
+  if (!*o) {
+    *o = std::make_shared<JsonObject>();
+  } else if (o->use_count() > 1) {
+    *o = std::make_shared<JsonObject>(**o);
+  }
+  return **o;
 }
 
 Json& Json::set(std::string key, Json value) {
-  if (!is_object()) {
-    type_ = Type::kObject;
-    object_ = std::make_shared<JsonObject>();
-  } else if (!object_) {
-    object_ = std::make_shared<JsonObject>();
-  } else if (object_.use_count() > 1) {
-    // Copy-on-write: containers are shared between copies of Json values;
-    // never mutate a container another Json can still see.
-    object_ = std::make_shared<JsonObject>(*object_);
-  }
-  (*object_)[std::move(key)] = std::move(value);
+  JsonObject& object = mutable_object();
+  object.insert_or_assign(object.end(), std::move(key), std::move(value));
   return *this;
 }
 
 Json& Json::push_back(Json value) {
-  if (!is_array()) {
-    type_ = Type::kArray;
-    array_ = std::make_shared<JsonArray>();
-  } else if (!array_) {
-    array_ = std::make_shared<JsonArray>();
-  } else if (array_.use_count() > 1) {
-    array_ = std::make_shared<JsonArray>(*array_);
-  }
-  array_->push_back(std::move(value));
+  mutable_array().push_back(std::move(value));
   return *this;
 }
 
@@ -114,16 +131,16 @@ std::size_t Json::size() const {
 }
 
 bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
+  if (type() != other.type()) return false;
+  switch (type()) {
     case Type::kNull:
       return true;
     case Type::kBool:
-      return bool_ == other.bool_;
+      return as_bool() == other.as_bool();
     case Type::kNumber:
-      return number_ == other.number_;
+      return as_number() == other.as_number();
     case Type::kString:
-      return string_ == other.string_;
+      return as_string() == other.as_string();
     case Type::kArray:
       return as_array() == other.as_array();
     case Type::kObject:
@@ -134,41 +151,48 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
-void escape_string(const std::string& in, std::string& out) {
+// The escape for each byte that JSON strings may not carry raw; 0 for the
+// bytes that print as themselves.
+constexpr char escape_letter(unsigned char c) {
+  switch (c) {
+    case '"':
+      return '"';
+    case '\\':
+      return '\\';
+    case '\n':
+      return 'n';
+    case '\r':
+      return 'r';
+    case '\t':
+      return 't';
+    case '\b':
+      return 'b';
+    case '\f':
+      return 'f';
+    default:
+      return c < 0x20 ? 'u' : 0;
+  }
+}
+
+void escape_string(std::string_view in, std::string& out) {
   out.push_back('"');
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const auto c = static_cast<unsigned char>(in[i]);
+    const char letter = escape_letter(c);
+    if (letter == 0) continue;
+    out.append(in.data() + run, i - run);
+    run = i + 1;
+    if (letter == 'u') {
+      constexpr char kHex[] = "0123456789abcdef";
+      const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+      out.append(code, sizeof code);
+    } else {
+      const char code[] = {'\\', letter};
+      out.append(code, sizeof code);
     }
   }
+  out.append(in.data() + run, in.size() - run);
   out.push_back('"');
 }
 
@@ -180,16 +204,16 @@ void append_number(double value, std::string& out) {
     out += "null";
     return;
   }
+  char buf[32];
   // Integers (the overwhelmingly common case in RNL payloads: ids, ports,
   // timestamps) serialize without a decimal point.
   if (value == std::floor(value) && std::abs(value) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-    out += buf;
+    auto [end, ec] =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(value));
+    out.append(buf, end);
   } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    out += buf;
+    int n = std::snprintf(buf, sizeof buf, "%.17g", value);
+    out.append(buf, static_cast<std::size_t>(n));
   }
 }
 
@@ -203,18 +227,18 @@ void append_indent(std::string& out, int indent, int depth) {
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  switch (type_) {
+  switch (type()) {
     case Type::kNull:
       out += "null";
       return;
     case Type::kBool:
-      out += bool_ ? "true" : "false";
+      out += as_bool() ? "true" : "false";
       return;
     case Type::kNumber:
-      append_number(number_, out);
+      append_number(as_number(), out);
       return;
     case Type::kString:
-      escape_string(string_, out);
+      escape_string(as_string(), out);
       return;
     case Type::kArray: {
       const auto& arr = as_array();
@@ -258,40 +282,97 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   }
 }
 
+namespace {
+// A container's text starts at least this long; reserving it up front skips
+// the string's first three regrowths (30, 60, 120 bytes).
+constexpr std::size_t kDumpReserve = 128;
+}  // namespace
+
 std::string Json::dump() const {
   std::string out;
+  if (is_array() || is_object()) out.reserve(kDumpReserve);
   dump_to(out, 0, 0);
   return out;
 }
 
 std::string Json::dump_pretty() const {
   std::string out;
+  if (is_array() || is_object()) out.reserve(kDumpReserve);
   dump_to(out, 2, 0);
   return out;
 }
 
 namespace {
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// The bytes a number token spans: strtod decides what they mean.
+bool is_number_char(char c) {
+  return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+         c == '-';
+}
+
+/// Scratch the parser reuses from one document to the next on a thread:
+/// finished values waiting for their enclosing container, the keys of open
+/// objects, and the text of escaped strings. A document is only handed out
+/// once assembled, so nothing here outlives one parse() call.
+struct ParseScratch {
+  std::vector<Json> values;
+  std::vector<std::string> keys;
+  std::string text;
+};
+
+// A large document (a 64k-site journal snapshot) grows the scratch; past
+// these sizes it is released after the parse instead of kept for the
+// thread's life.
+constexpr std::size_t kScratchKeepEntries = 1024;
+constexpr std::size_t kScratchKeepTextBytes = 64 * 1024;
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, ParseScratch& scratch)
+      : text_(text), scratch_(scratch) {}
+  Parser(const Parser&) = delete;
+  Parser& operator=(const Parser&) = delete;
+
+  ~Parser() {
+    scratch_.values.clear();
+    scratch_.keys.clear();
+    if (scratch_.values.capacity() > kScratchKeepEntries) {
+      scratch_.values.shrink_to_fit();
+    }
+    if (scratch_.keys.capacity() > kScratchKeepEntries) {
+      scratch_.keys.shrink_to_fit();
+    }
+    if (scratch_.text.capacity() > kScratchKeepTextBytes) {
+      scratch_.text.shrink_to_fit();
+    }
+  }
 
   Result<Json> parse() {
     skip_ws();
-    auto value = parse_value(0);
-    if (!value.ok()) return value;
+    if (!parse_value(0)) return Error{std::move(error_)};
     skip_ws();
     if (pos_ != text_.size()) {
       return Error{err("trailing characters after JSON value")};
     }
-    return value;
+    return std::move(scratch_.values.back());
   }
 
  private:
   static constexpr int kMaxDepth = 128;
 
-  std::string err(const std::string& what) const {
-    return "json parse error at offset " + std::to_string(pos_) + ": " + what;
+  std::string err(std::string_view what) const {
+    std::string message = "json parse error at offset ";
+    message += std::to_string(pos_);
+    message += ": ";
+    message += what;
+    return message;
+  }
+
+  bool fail(std::string_view what) {
+    error_ = err(what);
+    return false;
   }
 
   void skip_ws() {
@@ -310,190 +391,251 @@ class Parser {
     return false;
   }
 
-  Result<Json> parse_value(int depth) {
-    if (depth > kMaxDepth) return Error{err("nesting too deep")};
-    if (pos_ >= text_.size()) return Error{err("unexpected end of input")};
-    char c = text_[pos_];
-    switch (c) {
+  bool literal(std::string_view word, Json value) {
+    if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
+    pos_ += word.size();
+    scratch_.values.push_back(std::move(value));
+    return true;
+  }
+
+  /// Parses one value and pushes it onto the scratch value stack.
+  bool parse_value(int depth) {
+    if (depth > kMaxDepth) return fail("nesting too deep");
+    if (pos_ >= text_.size()) return fail("unexpected end of input");
+    switch (text_[pos_]) {
       case '{':
         return parse_object(depth);
       case '[':
         return parse_array(depth);
       case '"': {
-        auto s = parse_string();
-        if (!s.ok()) return Error{s.error()};
-        return Json(std::move(s).take());
+        std::string_view s;
+        if (!parse_string(&s)) return false;
+        scratch_.values.emplace_back(s);
+        return true;
       }
       case 't':
-        if (text_.substr(pos_, 4) == "true") {
-          pos_ += 4;
-          return Json(true);
-        }
-        return Error{err("invalid literal")};
+        return literal("true", Json(true));
       case 'f':
-        if (text_.substr(pos_, 5) == "false") {
-          pos_ += 5;
-          return Json(false);
-        }
-        return Error{err("invalid literal")};
+        return literal("false", Json(false));
       case 'n':
-        if (text_.substr(pos_, 4) == "null") {
-          pos_ += 4;
-          return Json(nullptr);
-        }
-        return Error{err("invalid literal")};
+        return literal("null", Json(nullptr));
       default:
         return parse_number();
     }
   }
 
-  Result<Json> parse_object(int depth) {
-    consume('{');
-    JsonObject obj;
+  bool parse_object(int depth) {
+    ++pos_;  // '{'
+    const std::size_t first_value = scratch_.values.size();
+    const std::size_t first_key = scratch_.keys.size();
     skip_ws();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key.ok()) return Error{key.error()};
-      skip_ws();
-      if (!consume(':')) return Error{err("expected ':' in object")};
-      skip_ws();
-      auto value = parse_value(depth + 1);
-      if (!value.ok()) return value;
-      obj[std::move(key).take()] = std::move(value).take();
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return Json(std::move(obj));
-      return Error{err("expected ',' or '}' in object")};
-    }
-  }
-
-  Result<Json> parse_array(int depth) {
-    consume('[');
-    JsonArray arr;
-    skip_ws();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      skip_ws();
-      auto value = parse_value(depth + 1);
-      if (!value.ok()) return value;
-      arr.push_back(std::move(value).take());
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return Json(std::move(arr));
-      return Error{err("expected ',' or ']' in array")};
-    }
-  }
-
-  Result<std::string> parse_string() {
-    if (!consume('"')) return Error{err("expected string")};
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error{err("bad \\u escape")};
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Error{err("bad hex digit in \\u escape")};
-              }
-            }
-            if (code >= 0xD800 && code <= 0xDFFF) {
-              return Error{err("surrogate-pair escapes unsupported")};
-            }
-            // UTF-8 encode the BMP code point.
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            return Error{err("bad escape character")};
-        }
-      } else {
-        out.push_back(c);
+    if (!consume('}')) {
+      while (true) {
+        skip_ws();
+        std::string_view key;
+        if (!parse_string(&key)) return false;
+        scratch_.keys.emplace_back(key);
+        skip_ws();
+        if (!consume(':')) return fail("expected ':' in object");
+        skip_ws();
+        if (!parse_value(depth + 1)) return false;
+        skip_ws();
+        if (consume(',')) continue;
+        if (consume('}')) break;
+        return fail("expected ',' or '}' in object");
       }
     }
-    return Error{err("unterminated string")};
+    // Keys arriving in order (every dump() writes them so) insert at the end
+    // hint in O(1); a repeated key keeps its last value.
+    JsonObject members;
+    auto key = scratch_.keys.begin() + static_cast<std::ptrdiff_t>(first_key);
+    auto value =
+        scratch_.values.begin() + static_cast<std::ptrdiff_t>(first_value);
+    for (; key != scratch_.keys.end(); ++key, ++value) {
+      members.insert_or_assign(members.end(), std::move(*key),
+                               std::move(*value));
+    }
+    scratch_.keys.resize(first_key);
+    scratch_.values.resize(first_value);
+    scratch_.values.emplace_back(std::move(members));
+    return true;
   }
 
-  Result<Json> parse_number() {
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+  bool parse_array(int depth) {
+    ++pos_;  // '['
+    const std::size_t first = scratch_.values.size();
+    skip_ws();
+    if (!consume(']')) {
+      while (true) {
+        skip_ws();
+        if (!parse_value(depth + 1)) return false;
+        skip_ws();
+        if (consume(',')) continue;
+        if (consume(']')) break;
+        return fail("expected ',' or ']' in array");
+      }
     }
-    if (pos_ == start) return Error{err("expected value")};
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Error{err("invalid number '" + token + "'")};
+    auto begin = scratch_.values.begin() + static_cast<std::ptrdiff_t>(first);
+    JsonArray items(std::make_move_iterator(begin),
+                    std::make_move_iterator(scratch_.values.end()));
+    scratch_.values.resize(first);
+    scratch_.values.emplace_back(std::move(items));
+    return true;
+  }
+
+  /// Parses a string token. `*out` views the input itself when the string
+  /// has no escapes, else the scratch text; either way it is valid until the
+  /// next parse_string.
+  bool parse_string(std::string_view* out) {
+    if (!consume('"')) return fail("expected string");
+    const std::size_t start = pos_;
+    std::size_t run = pos_;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') {
+      ++run;
+    }
+    if (run < text_.size() && text_[run] == '"') {
+      pos_ = run + 1;
+      *out = text_.substr(start, run - start);
+      return true;
+    }
+    std::string& decoded = scratch_.text;
+    decoded.assign(text_.data() + start, run - start);
+    pos_ = run;
+    while (pos_ < text_.size()) {
+      char c = text_[pos_++];
+      if (c == '"') {
+        *out = decoded;
+        return true;
+      }
+      if (c != '\\') {
+        // Copy the whole unescaped run up to the next quote or backslash.
+        run = pos_;
+        while (run < text_.size() && text_[run] != '"' && text_[run] != '\\') {
+          ++run;
+        }
+        decoded.append(text_.data() + pos_ - 1, run - pos_ + 1);
+        pos_ = run;
+        continue;
+      }
+      if (pos_ >= text_.size()) break;
+      char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/':
+          decoded.push_back(esc);
+          break;
+        case 'n':
+          decoded.push_back('\n');
+          break;
+        case 'r':
+          decoded.push_back('\r');
+          break;
+        case 't':
+          decoded.push_back('\t');
+          break;
+        case 'b':
+          decoded.push_back('\b');
+          break;
+        case 'f':
+          decoded.push_back('\f');
+          break;
+        case 'u':
+          if (!parse_unicode_escape(decoded)) return false;
+          break;
+        default:
+          return fail("bad escape character");
+      }
+    }
+    return fail("unterminated string");
+  }
+
+  /// The four hex digits after "\u", appended as UTF-8.
+  bool parse_unicode_escape(std::string& out) {
+    if (pos_ + 4 > text_.size()) return fail("bad \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') {
+        code |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        return fail("bad hex digit in \\u escape");
+      }
+    }
+    if (code >= 0xD800 && code <= 0xDFFF) {
+      return fail("surrogate-pair escapes unsupported");
+    }
+    // UTF-8 encode the BMP code point.
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+    return true;
+  }
+
+  bool parse_number() {
+    const std::size_t start = pos_;
+    // Ids, ports, epochs and timestamps: an optional minus and at most 15
+    // digits are exact in a double and convert here. Every other spelling
+    // takes strtod, which decides what the token means.
+    constexpr std::size_t kDirectDigits = 15;
+    std::size_t end = start;
+    const bool negative = end < text_.size() && text_[end] == '-';
+    if (negative) ++end;
+    const std::size_t digits = end;
+    std::uint64_t magnitude = 0;
+    while (end < text_.size() && is_digit(text_[end]) &&
+           end - digits <= kDirectDigits) {
+      magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[end] - '0');
+      ++end;
+    }
+    if (end > digits && end - digits <= kDirectDigits &&
+        (end == text_.size() || !is_number_char(text_[end]))) {
+      pos_ = end;
+      const auto value = static_cast<double>(magnitude);
+      scratch_.values.emplace_back(negative ? -value : value);
+      return true;
+    }
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
+    if (pos_ == start) return fail("expected value");
+    const std::string token(text_.substr(start, pos_ - start));
+    char* token_end = nullptr;
+    double value = std::strtod(token.c_str(), &token_end);
+    if (token_end != token.c_str() + token.size()) {
+      return fail("invalid number '" + token + "'");
     }
     // "1e999" overflows strtod to infinity; accepting it would round-trip
     // through dump() as a non-JSON token. Out-of-range is a parse error.
     if (!std::isfinite(value)) {
-      return Error{err("number out of range '" + token + "'")};
+      return fail("number out of range '" + token + "'");
     }
-    return Json(value);
+    scratch_.values.emplace_back(value);
+    return true;
   }
 
   std::string_view text_;
+  ParseScratch& scratch_;
   std::size_t pos_ = 0;
+  std::string error_;
 };
 
 }  // namespace
 
 Result<Json> Json::parse(std::string_view text) {
-  return Parser(text).parse();
+  // One scratch per thread: parse() runs no callbacks, so it never re-enters.
+  thread_local ParseScratch scratch;
+  return Parser(text, scratch).parse();
 }
 
 }  // namespace rnl::util

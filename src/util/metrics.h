@@ -17,11 +17,16 @@
 // themselves are relaxed atomics, because the shard-per-core server reads
 // instruments across threads — the Tracer's tail gate aggregates every
 // shard's forward histogram (trace.h), and the control plane merges
-// per-shard registry snapshots (merge_snapshots). Relaxed fetch_add keeps
-// the single-writer hot path at plain-store cost on x86/ARM while making
-// the cross-thread reads defined. A concurrent reader may observe a
-// histogram mid-record (count ahead of a bucket); snapshots taken on the
-// owning shard (ShardedRouteServer::run_on_shard) are exact.
+// per-shard registry snapshots (merge_snapshots). A relaxed fetch_add makes
+// the cross-thread reads defined, but it is still an atomic read-modify-
+// write: a locked instruction on x86 (lock xadd) and an exclusive-monitor
+// loop or LSE atomic on ARM, several times the cost of a plain store. The
+// instruments keep it because not every one provably has a single writer
+// (the sim-stream counters are shared by every stream in a registry); a
+// counter with exactly one writer by construction can use a relaxed load
+// and a relaxed store instead (SpscRing's counters do). A concurrent reader
+// may observe a histogram mid-record (count ahead of a bucket); snapshots
+// taken on the owning shard (ShardedRouteServer::run_on_shard) are exact.
 // MetricsRegistry::global() exists for components constructed without an
 // explicit registry — fine in single-world processes; never give two
 // shards the same registry, or their probe callbacks race.

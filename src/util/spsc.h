@@ -59,15 +59,13 @@ class SpscRing {
   bool push(T value) {
     Slot& slot = slots_[head_ & mask_];
     if (slot.seq.load(std::memory_order_acquire) != head_) {
-      // Relaxed: monitoring counter only, no protocol role.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      bump(dropped_);
       return false;
     }
     slot.value = std::move(value);
     slot.seq.store(head_ + 1, std::memory_order_release);
     ++head_;
-    // Relaxed: monitoring counter only, no protocol role.
-    pushed_.fetch_add(1, std::memory_order_relaxed);
+    bump(pushed_);
     return true;
   }
 
@@ -78,8 +76,7 @@ class SpscRing {
     out = std::move(slot.value);
     slot.seq.store(tail_ + slots_.size(), std::memory_order_release);
     ++tail_;
-    // Relaxed: monitoring counter only, no protocol role.
-    popped_.fetch_add(1, std::memory_order_relaxed);
+    bump(popped_);
     return true;
   }
 
@@ -104,6 +101,16 @@ class SpscRing {
  private:
   template <typename U>
   using Atomic = typename Concurrency::template Atomic<U>;
+
+  /// Increments a monitoring counter that only the calling side writes
+  /// (pushed_ and dropped_ the producer, popped_ the consumer). With one
+  /// writer a load and a store suffice; fetch_add would be a locked
+  /// read-modify-write on x86 on every push and pop.
+  static void bump(std::atomic<std::uint64_t>& counter) {
+    // Relaxed: single writer, and the counters have no protocol role.
+    const std::uint64_t next = counter.load(std::memory_order_relaxed) + 1;
+    counter.store(next, std::memory_order_relaxed);  // Relaxed: as above
+  }
 
   struct Slot {
     // seq is the protocol word; value's cross-thread safety is entirely

@@ -244,21 +244,25 @@ util::Result<JoinRequest> JoinRequest::from_json(const util::Json& json) {
   JoinRequest request;
   request.site_name = json["site"].as_string();
   if (request.site_name.empty()) return util::Error{"join: missing site"};
-  if (json["routers"].as_array().size() > JoinRequest::kMaxRouters) {
+  const util::JsonArray& routers = json["routers"].as_array();
+  if (routers.size() > JoinRequest::kMaxRouters) {
     return util::Error{"join: too many routers declared"};
   }
-  for (const auto& r : json["routers"].as_array()) {
+  request.routers.reserve(routers.size());
+  for (const auto& r : routers) {
     RouterDeclaration router;
     router.name = r["name"].as_string();
     if (router.name.empty()) return util::Error{"join: router missing name"};
-    if (r["ports"].as_array().size() > JoinRequest::kMaxPortsPerRouter) {
+    const util::JsonArray& ports = r["ports"].as_array();
+    if (ports.size() > JoinRequest::kMaxPortsPerRouter) {
       return util::Error{"join: too many ports declared on router '" +
                          router.name + "'"};
     }
     router.description = r["description"].as_string();
     router.image_file = r["image"].as_string();
     router.console_com = r["console"].as_string();
-    for (const auto& p : r["ports"].as_array()) {
+    router.ports.reserve(ports.size());
+    for (const auto& p : ports) {
       PortDeclaration port;
       port.name = p["name"].as_string();
       if (port.name.empty()) return util::Error{"join: port missing name"};
@@ -279,18 +283,18 @@ util::Result<JoinRequest> JoinRequest::from_json(const util::Json& json) {
 }
 
 util::Json JoinAck::to_json() const {
-  util::Json routers_json = util::Json::array();
+  util::JsonArray routers_json;
+  routers_json.reserve(routers.size());
   for (const auto& ids : routers) {
-    util::Json ports = util::Json::array();
-    for (auto pid : ids.port_ids) ports.push_back(pid);
+    util::JsonArray ports(ids.port_ids.begin(), ids.port_ids.end());
     util::Json r = util::Json::object();
-    r.set("router_id", ids.router_id);
     r.set("port_ids", std::move(ports));
+    r.set("router_id", ids.router_id);
     routers_json.push_back(std::move(r));
   }
   util::Json ack = util::Json::object();
-  ack.set("routers", std::move(routers_json));
   ack.set("epoch", epoch);
+  ack.set("routers", std::move(routers_json));
   return ack;
 }
 
@@ -299,10 +303,14 @@ util::Result<JoinAck> JoinAck::from_json(const util::Json& json) {
   JoinAck ack;
   // Absent in pre-epoch acks: defaults to 0, the first-session epoch.
   ack.epoch = static_cast<std::uint32_t>(json["epoch"].as_int(0));
-  for (const auto& r : json["routers"].as_array()) {
+  const util::JsonArray& routers = json["routers"].as_array();
+  ack.routers.reserve(routers.size());
+  for (const auto& r : routers) {
     RouterIds ids;
     ids.router_id = static_cast<RouterId>(r["router_id"].as_int());
-    for (const auto& p : r["port_ids"].as_array()) {
+    const util::JsonArray& port_ids = r["port_ids"].as_array();
+    ids.port_ids.reserve(port_ids.size());
+    for (const auto& p : port_ids) {
       ids.port_ids.push_back(static_cast<PortId>(p.as_int()));
     }
     ack.routers.push_back(std::move(ids));

@@ -1,10 +1,38 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <new>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/json.h"
 #include "util/rng.h"
+#include "wire/tunnel.h"
+
+// Counts every operator new in this test binary, so the allocation tests
+// below can pin what a control-plane payload costs.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+// GCC flags free() on memory from operator new even when both are replaced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rnl::util {
 namespace {
@@ -237,6 +265,194 @@ TEST(JsonAdversarial, DuplicateKeysLastWins) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->size(), 1u);
   EXPECT_EQ((*parsed)["k"].as_int(), 3);
+}
+
+// --- Parser quirks that stay as they are ------------------------------------
+// Numbers go through strtod, which accepts more spellings than RFC 8259;
+// tightening that is a grammar change, not a speed-up, and these pin it.
+
+TEST(JsonQuirks, StrtodLenientNumberFormsAreAccepted) {
+  const std::pair<const char*, double> forms[] = {
+      {"+1", 1.0}, {".5", 0.5}, {"1.", 1.0},
+      {"01", 1.0}, {"-.5", -0.5}, {"1.e3", 1000.0},
+  };
+  for (const auto& [text, value] : forms) {
+    auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.error();
+    EXPECT_EQ(parsed->as_number(), value) << text;
+  }
+}
+
+TEST(JsonQuirks, SignsWithoutDigitsAreInvalidNumbers) {
+  auto minus = Json::parse("-");
+  ASSERT_FALSE(minus.ok());
+  EXPECT_EQ(minus.error(), "json parse error at offset 1: invalid number '-'");
+  auto double_minus = Json::parse("--1");
+  ASSERT_FALSE(double_minus.ok());
+  EXPECT_EQ(double_minus.error(),
+            "json parse error at offset 3: invalid number '--1'");
+}
+
+TEST(JsonQuirks, DuplicateKeyKeepsTheLastValue) {
+  auto parsed = Json::parse(R"({"a":1,"a":2})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->dump(), R"({"a":2})");
+}
+
+TEST(JsonQuirks, NumbersPrintAsToday) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"0.1", "0.10000000000000001"},
+      {"1e16", "10000000000000000"},
+      {"123456789012345678", "1.2345678901234568e+17"},
+      {"9007199254740993", "9007199254740992"},
+      {"-0", "0"},
+      {"999999999999999", "999999999999999"},
+  };
+  for (const auto& [text, printed] : cases) {
+    auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed->dump(), printed) << text;
+  }
+}
+
+TEST(JsonQuirks, OverflowIsOutOfRange) {
+  auto parsed = Json::parse("1e999");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(),
+            "json parse error at offset 5: number out of range '1e999'");
+}
+
+// --- Golden corpus ----------------------------------------------------------
+// Every input in tests/corpus/json/ has a record in tests/golden/json/: the
+// exact error text of a rejection, or the exact dump() and dump_pretty()
+// bytes of an acceptance. The records pin the parser and printer as they
+// were when written. A missing record is written and the test fails, so
+// deleting a record and running this test at the chosen commit rewrites it.
+
+std::string golden_record(std::string_view text) {
+  auto parsed = Json::parse(text);
+  if (!parsed.ok()) return "reject " + parsed.error() + "\n";
+  const std::string compact = parsed->dump();
+  const std::string pretty = parsed->dump_pretty();
+  return "dump " + std::to_string(compact.size()) + "\n" + compact +
+         "\npretty " + std::to_string(pretty.size()) + "\n" + pretty + "\n";
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(JsonGolden, CorpusMatchesCheckedInRecords) {
+  const std::filesystem::path source(RNL_SOURCE_DIR);
+  const auto corpus = source / "tests" / "corpus" / "json";
+  const auto golden = source / "tests" / "golden" / "json";
+  std::vector<std::filesystem::path> inputs;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (entry.is_regular_file()) inputs.push_back(entry.path());
+  }
+  std::sort(inputs.begin(), inputs.end());
+  ASSERT_GE(inputs.size(), 26u);
+  for (const auto& input : inputs) {
+    const std::string record = golden_record(read_file(input));
+    const auto record_path = golden / (input.filename().string() + ".golden");
+    if (!std::filesystem::exists(record_path)) {
+      std::filesystem::create_directories(golden);
+      std::ofstream(record_path, std::ios::binary) << record;
+      ADD_FAILURE() << "wrote missing golden record " << record_path;
+      continue;
+    }
+    EXPECT_EQ(record, read_file(record_path)) << input.filename();
+  }
+}
+
+// --- Allocations ------------------------------------------------------------
+// Heap allocations per control-plane payload, pinned so a later change
+// cannot quietly give them back. Each is measured after one warm-up call:
+// the parser reuses its scratch stack from one document to the next.
+
+template <typename Op>
+std::size_t allocations_of(Op&& op) {
+  op();
+  const std::size_t before = g_allocations;
+  op();
+  return g_allocations - before;
+}
+
+std::string corpus_text(const char* name) {
+  return read_file(std::filesystem::path(RNL_SOURCE_DIR) / "tests" /
+                   "corpus" / "json" / name);
+}
+
+TEST(JsonAllocations, FleetJoinParseAndDecode) {
+  const std::string text = corpus_text("fleet_join.json");
+  std::size_t ports = 0;
+  const std::size_t allocations = allocations_of([&] {
+    auto parsed = Json::parse(text);
+    auto join = wire::JoinRequest::from_json(*parsed);
+    ports = join->routers.at(0).ports.size();
+  });
+  EXPECT_EQ(ports, 2u);
+  // 39 before the single-pass parser: one per array growth step, one per
+  // string longer than the small-string buffer pushed a byte at a time.
+  EXPECT_EQ(allocations, 33u);
+}
+
+TEST(JsonAllocations, JoinAckParseAndDecode) {
+  const std::string text = corpus_text("join_ack.json");
+  std::uint32_t epoch = 0;
+  const std::size_t allocations = allocations_of([&] {
+    auto parsed = Json::parse(text);
+    epoch = wire::JoinAck::from_json(*parsed)->epoch;
+  });
+  EXPECT_EQ(epoch, 3u);
+  EXPECT_EQ(allocations, 12u);  // 14 before
+}
+
+TEST(JsonAllocations, JoinAckEncode) {
+  wire::JoinAck ack;
+  ack.epoch = 3;
+  ack.routers.push_back({514, {1027, 1028}});
+  std::string text;
+  const std::size_t allocations =
+      allocations_of([&] { text = ack.to_json().dump(); });
+  EXPECT_EQ(text, corpus_text("join_ack.json"));
+  EXPECT_EQ(allocations, 11u);  // 14 before
+}
+
+// --- Scale ------------------------------------------------------------------
+
+TEST(JsonScale, ShuffledSetsBuildASortedObject) {
+  // A soak snapshot holds one member per site; members arrive in any order.
+  constexpr int kMembers = 20'000;
+  std::vector<int> order(kMembers);
+  for (int i = 0; i < kMembers; ++i) order[i] = i;
+  Rng rng(2024);
+  for (int i = kMembers - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  auto key = [](int i) { return "site-" + std::to_string(i); };
+  Json object = Json::object();
+  for (int i : order) object.set(key(i), i);
+  ASSERT_EQ(object.size(), static_cast<std::size_t>(kMembers));
+  for (int i = 0; i < kMembers; ++i) {
+    ASSERT_TRUE(object.contains(key(i))) << i;
+    ASSERT_EQ(object[key(i)].as_int(), i);
+  }
+  EXPECT_FALSE(object.contains("site-"));
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < kMembers; ++i) keys.push_back(key(i));
+  std::sort(keys.begin(), keys.end());
+  std::string expected = "{";
+  for (const std::string& k : keys) {
+    if (expected.size() > 1) expected += ',';
+    expected += '"' + k + "\":" + k.substr(5);
+  }
+  expected += '}';
+  EXPECT_EQ(object.dump(), expected);
 }
 
 }  // namespace

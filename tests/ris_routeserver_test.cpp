@@ -816,6 +816,51 @@ TEST_F(RnlStack, EvictedSiteRejoinsWithSameIdsAndRestoredWires) {
   EXPECT_EQ(h1.ping_replies().size(), 3u);
 }
 
+TEST_F(RnlStack, CompressionCodecsStartEmptyWithEachSession) {
+  // The codecs are per session and made on first use: a rejoin drops both
+  // ends' rings, so the RIS's counters restart at zero, and the fresh
+  // codecs the next frames create stay in lockstep with the server's.
+  transport::SimLinkFault fault;
+  auto dial = [&]() -> std::unique_ptr<transport::Transport> {
+    transport::SimStreamOptions options;
+    options.fault = &fault;
+    auto [ris_end, server_end] =
+        transport::make_sim_stream_pair(net.scheduler(), options);
+    server.accept(std::move(server_end));
+    return std::move(ris_end);
+  };
+  ris::ReconnectPolicy policy;
+  policy.initial_backoff = util::Duration::milliseconds(100);
+  policy.jitter = 0;
+  site1.set_reconnect_policy(policy);
+  site1.set_transport_factory(dial);
+  site1.set_compression_enabled(true);
+  server.set_compression_enabled(true);
+  site1.join(dial());
+  join(site2);
+  net.run_for(util::Duration::milliseconds(500));
+  ASSERT_TRUE(server
+                  .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"))
+                  .ok());
+  h1.ping(ip("10.0.0.2"), 10);
+  net.run_for(util::Duration::seconds(2));
+  ASSERT_EQ(h1.ping_replies().size(), 10u);
+  EXPECT_GT(site1.compression_stats().frames_compressed, 0u);
+
+  fault.cut();
+  net.run_for(util::Duration::seconds(2));
+  ASSERT_TRUE(site1.joined());
+  ASSERT_EQ(site1.session_epoch(), 1u);
+  EXPECT_EQ(site1.compression_stats().frames_in, 0u);
+
+  h1.ping(ip("10.0.0.2"), 10);
+  net.run_for(util::Duration::seconds(2));
+  EXPECT_EQ(h1.ping_replies().size(), 20u);
+  EXPECT_GT(site1.compression_stats().frames_compressed, 0u);
+  EXPECT_EQ(site1.stats().decode_errors + site2.stats().decode_errors, 0u);
+  EXPECT_EQ(server.stats().decode_errors, 0u);
+}
+
 TEST_F(RnlStack, KillAndRejoinTenTimesMidTraffic) {
   // The acceptance scenario: the site's WAN link dies mid-traffic ten times;
   // each time the RIS redials within its backoff budget, rejoins as the same
