@@ -26,7 +26,11 @@
 #              concurrency-discipline lint (scripts/lint_concurrency.py):
 #              relaxed-ordering justification comments, shared-type member
 #              audit, owner-thread DCHECKs in posted handlers — failing
-#              with path:line pointers, plus its seeded-fixture selftest.
+#              with path:line pointers, plus its seeded-fixture selftest,
+#              and the wire-boundary lint (scripts/lint_wire_boundary.py):
+#              code under src/ris/, src/routeserver/ and src/core/ must not
+#              name the tunnel's codecs or framing, which both ends reach
+#              only through wire::Session.
 #   --fuzz     adversarial-input gate. Builds with RNL_FUZZ=ON and replays
 #              the checked-in corpus (tests/corpus/) through every harness
 #              with extra chunking variants; when the compiler supports
@@ -160,6 +164,8 @@ if [[ "$lint" == 1 ]]; then
   echo "=== lint: concurrency discipline (scripts/lint_concurrency.py) ==="
   python3 scripts/lint_concurrency.py
   python3 scripts/lint_concurrency.py --selftest
+  echo "=== lint: tunnel codecs and framing only via wire::Session (scripts/lint_wire_boundary.py) ==="
+  python3 scripts/lint_wire_boundary.py
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "=== lint: clang-tidy (.clang-tidy profile) ==="
     # compile_commands.json comes from the plain build configure above.

@@ -23,6 +23,22 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// True when `value` nests at most `depth` levels (a scalar or an empty
+/// container nests 0). Descends no deeper than the limit.
+bool nests_within(const util::Json& value, int depth) {
+  if (depth < 0) return false;
+  if (value.is_array()) {
+    for (const util::Json& item : value.as_array()) {
+      if (!nests_within(item, depth - 1)) return false;
+    }
+  } else if (value.is_object()) {
+    for (const auto& [key, item] : value.as_object()) {
+      if (!nests_within(item, depth - 1)) return false;
+    }
+  }
+  return true;
+}
+
 std::uint32_t record_crc(std::uint64_t seq, std::string_view payload) {
   util::ByteWriter seq_bytes;
   seq_bytes.u64(seq);
@@ -415,6 +431,9 @@ util::Status JournalStore::append(const std::string& stream,
   if (stream == kKvStream) {
     return util::Error{"journal: stream name 'kv' is reserved"};
   }
+  if (!nests_within(event, kMaxDocumentDepth)) {
+    return util::Error{"journal: event nests too deep to snapshot"};
+  }
   return append_record(stream, event);
 }
 
@@ -440,6 +459,9 @@ bool JournalStore::valid_key(const std::string& key) {
 util::Status JournalStore::put(const std::string& key,
                                const util::Json& value) {
   if (!valid_key(key)) return util::Error{"store: invalid key '" + key + "'"};
+  if (!nests_within(value, kMaxDocumentDepth)) {
+    return util::Error{"store: document nests too deep to snapshot"};
+  }
   util::Json event = util::Json::object();
   event.set("op", "put");
   event.set("key", key);

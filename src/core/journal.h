@@ -143,6 +143,12 @@ class JournalStore {
   JournalStore(const JournalStore&) = delete;
   JournalStore& operator=(const JournalStore&) = delete;
 
+  /// The deepest document put() and append() take. A snapshot nests each
+  /// kv document, and each event of a stream's pending tail, four levels
+  /// deep ({"streams":{"kv":{"state":{key: doc}}}}), and recovery parses it
+  /// back only within util::Json::kMaxDepth.
+  static constexpr int kMaxDocumentDepth = util::Json::kMaxDepth - 4;
+
   // Key/value documents — the journal's internal "kv" stream.
   util::Status put(const std::string& key, const util::Json& value);
   [[nodiscard]] util::Result<util::Json> get(const std::string& key) const;
@@ -193,6 +199,7 @@ class JournalStore {
 
   /// Journals one event for `stream`. The caller's in-memory state is the
   /// source of truth; the event must already have been applied to it.
+  /// Fails, journaling nothing, for an event nested too deep to snapshot.
   util::Status append(const std::string& stream, const util::Json& event);
 
   /// Writes a snapshot (temp + rename + fsync) and truncates the journal.

@@ -26,14 +26,13 @@ RouterInterface::RouterInterface(simnet::Network& net, std::string site_name,
       keepalive_(net.scheduler(),
                  [this] {
                    if (!transport_ || !transport_->is_open()) return;
-                   wire::TunnelMessage keepalive;
-                   keepalive.type = wire::MessageType::kKeepalive;
-                   send_message(keepalive, false);
+                   send_control(wire::MessageType::kKeepalive, 0, {});
                    keepalive_.arm_after(keepalive_interval_);
                  }),
       reconnect_(net.scheduler(), [this] { attempt_reconnect(); }),
       metrics_(metrics != nullptr ? metrics : &util::MetricsRegistry::global()),
-      metrics_prefix_("ris." + site_name_ + ".") {
+      metrics_prefix_("ris." + site_name_ + "."),
+      session_(&metrics_->histogram("wire.compression_ratio_x100")) {
   auto expose = [this](const char* field, const std::uint64_t* value) {
     metrics_->probe_counter(metrics_prefix_ + field,
                             [value] { return *value; });
@@ -60,12 +59,6 @@ RouterInterface::RouterInterface(simnet::Network& net, std::string site_name,
   egress_batch_hist_ =
       &metrics_->histogram(metrics_prefix_ + "egress_batch_frames");
   backoff_hist_ = &metrics_->histogram(metrics_prefix_ + "backoff_ns");
-  compression_ratio_hist_ = &metrics_->histogram("wire.compression_ratio_x100");
-}
-
-const wire::CompressionStats& RouterInterface::compression_stats() const {
-  static const wire::CompressionStats kNone;
-  return compressor_ ? compressor_->stats() : kNone;
 }
 
 void RouterInterface::set_tracer(util::Tracer* tracer) {
@@ -94,7 +87,7 @@ std::size_t RouterInterface::add_router(devices::Device* device,
   router.declaration.description = std::move(description);
   router.declaration.image_file = std::move(image_file);
   routers_.push_back(std::move(router));
-  join_wire_.clear();
+  join_payload_.clear();
   return routers_.size() - 1;
 }
 
@@ -127,7 +120,7 @@ void RouterInterface::map_port(std::size_t router_index,
       });
   router.ports.push_back(std::move(mapped));
   router.declaration.ports.push_back(router.ports.back().declaration);
-  join_wire_.clear();
+  join_payload_.clear();
 }
 
 void RouterInterface::attach_console(std::size_t router_index,
@@ -135,7 +128,7 @@ void RouterInterface::attach_console(std::size_t router_index,
   Router& router = routers_.at(router_index);
   router.console = true;
   router.declaration.console_com = std::move(com_port);
-  join_wire_.clear();
+  join_payload_.clear();
 }
 
 util::Status RouterInterface::declare_slices(
@@ -176,7 +169,7 @@ util::Status RouterInterface::declare_slices(
     }
     routers_.push_back(std::move(slice_router));
   }
-  join_wire_.clear();
+  join_payload_.clear();
   return util::Status::Ok();
 }
 
@@ -216,19 +209,11 @@ void RouterInterface::start_session(
     transport_->close();
   }
   transport_ = std::move(transport);
-  // A new connection is a new session: any half-frame from the old stream
-  // and both compression rings are history the peer no longer shares, so
-  // the codecs go with it. The route server starts each session with none
-  // on its side too.
-  decoder_.reset();
-  compressor_.reset();
-  decompressor_.reset();
-  // An uplink batch is per-connection state: frames serialized for the old
-  // session must not leak into the new stream (the server would count them
-  // stale anyway — they carry the previous epoch).
-  pending_uplink_frames_ = 0;
-  uplink_batch_trace_id_ = 0;
-  send_buffer_.clear();
+  // A new connection is a new session: a half-frame from the old stream,
+  // both codec histories and an open uplink batch are state the peer no
+  // longer shares (the route server starts each connection with a fresh
+  // Session too).
+  session_.reset();
   joined_ = false;
   transport_->set_receive_handler(
       [this](util::BytesView chunk) { on_transport_data(chunk); });
@@ -236,20 +221,11 @@ void RouterInterface::start_session(
 
   // The JOIN depends only on the declarations, so it is encoded once and
   // resent as is on every reconnect until a declaration changes.
-  if (join_wire_.empty()) {
-    wire::JoinRequest request;
-    request.site_name = site_name_;
-    for (const auto& router : routers_) {
-      request.routers.push_back(router.declaration);
-    }
-    wire::TunnelMessage join_msg;
-    join_msg.type = wire::MessageType::kJoin;
-    std::string json = request.to_json().dump();
-    join_msg.payload.assign(json.begin(), json.end());
-    join_wire_ = wire::encode_message(join_msg);
+  if (join_payload_.empty()) {
+    const std::string json = config_json()["join"].dump();
+    join_payload_.assign(json.begin(), json.end());
   }
-  // No uplink batch is open (reset above), so nothing needs flushing first.
-  if (transport_->is_open()) transport_->send(join_wire_);
+  send_control(wire::MessageType::kJoin, 0, join_payload_);
 
   // Heartbeat so the server can tell a silent site from a dead one. A
   // reconnect must not leave the previous session's beat running alongside
@@ -323,9 +299,7 @@ void RouterInterface::leave() {
   reconnect_.cancel();  // drops any dial already scheduled
   in_outage_ = false;
   if (transport_ && transport_->is_open()) {
-    wire::TunnelMessage msg;
-    msg.type = wire::MessageType::kLeave;
-    send_message(msg, false);
+    send_control(wire::MessageType::kLeave, 0, {});
     // An orderly departure is not a lost tunnel: silence the close handler.
     transport_->set_close_handler(nullptr);
     transport_->close();
@@ -333,26 +307,21 @@ void RouterInterface::leave() {
   joined_ = false;
 }
 
-void RouterInterface::send_message(const wire::TunnelMessage& message,
-                                   bool compressible) {
-  if (compressible) {
-    send_data(message.router_id, message.port_id, message.payload);
-    return;
-  }
+void RouterInterface::send_control(wire::MessageType type,
+                                   wire::RouterId router,
+                                   util::BytesView payload) {
   if (!transport_ || !transport_->is_open()) return;
   // Control never overtakes captured data: flush the open uplink batch
   // first so the transport sees the two classes in acceptance order.
   flush_uplink();
-  util::Bytes wire_bytes = wire::encode_message(message);
-  transport_->send(wire_bytes);
+  transport_->send(session_.frame_control(type, router, payload, 0));
 }
 
 void RouterInterface::flush_uplink() {
-  const std::size_t frames = pending_uplink_frames_;
+  const std::size_t frames = session_.batch_frames();
   if (frames == 0) return;
-  pending_uplink_frames_ = 0;
-  const std::uint64_t batch_trace = uplink_batch_trace_id_;
-  uplink_batch_trace_id_ = 0;
+  const std::uint64_t batch_trace = session_.batch_trace_id();
+  const util::BytesView batch = session_.take_batch();
   if (transport_ && transport_->is_open()) {
     ++stats_.egress_flushes;
     stats_.frames_coalesced += frames - 1;
@@ -361,74 +330,47 @@ void RouterInterface::flush_uplink() {
     // the transport hand-off for all `frames` coalesced frames.
     if (batch_trace != 0 && tracing()) {
       const std::uint64_t t0 = util::monotonic_ns();
-      transport_->send(send_buffer_.view());
+      transport_->send(batch);
       trace_ring_->push({batch_trace, t0, util::monotonic_ns() - t0,
                          util::TraceStage::kUplinkFlush,
                          util::TraceInstant::kNone,
                          static_cast<std::uint32_t>(frames)});
     } else {
-      transport_->send(send_buffer_.view());
+      transport_->send(batch);
     }
   }
-  send_buffer_.clear();
 }
 
 void RouterInterface::send_data(wire::RouterId router_id, wire::PortId port_id,
                                 util::BytesView frame,
                                 std::uint64_t trace_id) {
   if (!transport_ || !transport_->is_open()) return;
-  util::ByteWriter& w = send_buffer_;
-  // Append behind the frames captured earlier in this burst. Opening a
-  // batch (pending_uplink_frames_ == 0) clears the buffer first, so a batch
-  // never starts behind bytes an earlier one left.
-  if (pending_uplink_frames_ == 0) w.clear();
-  const std::size_t cap_before = w.capacity();
-  // With compression on, every frame is recorded in the codec history and
-  // sent with kFlagRecorded, compressed or not, so the server's decompressor
-  // records it too; with it off the frame bypasses both rings.
-  util::BytesView payload = frame;
-  wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
-  bool codec_grew = false;
-  if (compression_enabled_) {
-    if (!compressor_) {
-      compressor_ = std::make_unique<wire::TemplateCompressor>();
-      compressor_->set_ratio_histogram(compression_ratio_hist_);
-    }
-    const std::uint64_t allocs_before = compressor_->allocations();
-    const auto compressed = compressor_->compress(frame);
-    payload = compressed.value_or(frame);
-    coding = compressed ? wire::PayloadCoding::kCompressed
-                        : wire::PayloadCoding::kRecorded;
-    codec_grew = compressor_->allocations() != allocs_before;
-    if (codec_grew) ++stats_.payload_allocs;
-  }
-  wire::encode_message_into(w, wire::MessageType::kData, router_id, port_id,
-                            payload, coding,
-                            static_cast<std::uint8_t>(epoch_), trace_id);
-  bool grew = w.capacity() != cap_before;
-  if (grew) ++stats_.payload_allocs;
-  if (!grew && !codec_grew) ++stats_.fast_path_frames;
-  ++pending_uplink_frames_;
-  if (uplink_batch_trace_id_ == 0) uplink_batch_trace_id_ = trace_id;
+  // Appended behind the frames captured earlier in this burst.
+  const int grown = session_.append_data(
+      router_id, port_id, frame, compression_enabled_,
+      static_cast<std::uint8_t>(epoch_), trace_id);
+  stats_.payload_allocs += static_cast<std::uint64_t>(grown);
+  if (grown == 0) ++stats_.fast_path_frames;
+  const std::size_t frames = session_.batch_frames();
   // Only the append that opens a batch arms the end-of-burst flush: one
   // scheduler event per batch, none for a batch the caps already flushed.
   // The scheduler runs same-timestamp events in insertion order, so the
   // zero-delay flush fires after every capture already queued at this
   // instant: the whole burst coalesces, and no simulated time passes
   // between capture and flush.
-  if (pending_uplink_frames_ >= kUplinkBatchFrames ||
-      w.size() >= kUplinkBatchBytes) {
+  if (frames >= kUplinkBatchFrames ||
+      session_.batch_bytes() >= kUplinkBatchBytes) {
     flush_uplink();
-  } else if (pending_uplink_frames_ == 1) {
+  } else if (frames == 1) {
     uplink_flush_.arm_after(util::Duration{});
   }
 }
 
 void RouterInterface::on_transport_data(util::BytesView chunk) {
-  const auto& messages = decoder_.feed_views(chunk);
-  if (decoder_.failed()) {
+  const auto& messages = session_.feed(chunk);
+  if (session_.failed()) {
     ++stats_.decode_errors;
-    RNL_LOG(kError, kLog) << site_name_ << ": " << decoder_.error();
+    RNL_LOG(kError, kLog) << site_name_ << ": " << session_.error();
     transport_->close();
     return;
   }
@@ -505,29 +447,15 @@ void RouterInterface::handle_message(
         return;
       }
       // Zero-copy: a view into the decoder buffer or, for a compressed
-      // frame, into the decompressor ring slot it was inflated into. Only a
-      // frame the server recorded (every compressed one is) touches the
-      // ring.
-      util::BytesView frame = msg.payload;
-      if (msg.recorded) {
-        if (!decompressor_) {
-          decompressor_ = std::make_unique<wire::TemplateDecompressor>();
-        }
-        const std::uint64_t allocs_before = decompressor_->allocations();
-        if (msg.compressed) {
-          auto inflated = decompressor_->decompress(msg.payload);
-          if (!inflated.ok()) {
-            ++stats_.decode_errors;
-            return;
-          }
-          frame = *inflated;
-        } else {
-          decompressor_->note_raw(msg.payload);
-        }
-        if (decompressor_->allocations() != allocs_before) {
-          ++stats_.payload_allocs;
-        }
+      // frame, into the decompressor ring slot it was inflated into.
+      bool grew = false;
+      const auto received = session_.receive_data(msg, grew);
+      if (!received) {
+        ++stats_.decode_errors;
+        return;
       }
+      if (grew) ++stats_.payload_allocs;
+      const util::BytesView frame = *received;
       auto slot = id_to_slot_.find({msg.router_id, msg.port_id});
       if (slot == id_to_slot_.end()) {
         ++stats_.unknown_port_drops;
@@ -600,11 +528,10 @@ void RouterInterface::handle_console_input(Router& router,
   }
   if (output.empty()) return;
   stats_.console_bytes_up += output.size();
-  wire::TunnelMessage reply;
-  reply.type = wire::MessageType::kConsoleData;
-  reply.router_id = router.assigned_id;
-  reply.payload.assign(output.begin(), output.end());
-  send_message(reply, false);
+  send_control(wire::MessageType::kConsoleData, router.assigned_id,
+               util::BytesView(
+                   reinterpret_cast<const std::uint8_t*>(output.data()),
+                   output.size()));
 }
 
 void RouterInterface::on_nic_frame(std::size_t router_index,

@@ -30,7 +30,7 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
-#include "wire/compression.h"
+#include "wire/session.h"
 #include "wire/tunnel.h"
 
 namespace rnl::ris {
@@ -180,7 +180,9 @@ class RouterInterface {
   /// Uplink codec counters for the current session; frames sent with
   /// compression off are not in them. Zero until the session's first frame
   /// sent with compression on creates the compressor.
-  [[nodiscard]] const wire::CompressionStats& compression_stats() const;
+  [[nodiscard]] const wire::CompressionStats& compression_stats() const {
+    return session_.compression_stats();
+  }
 
   /// Attaches this site to a trace sink (nullptr detaches). While the
   /// tracer is enabled, the capture path head-samples frames (the tracer's
@@ -213,9 +215,8 @@ class RouterInterface {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   /// Installs `transport` as the session connection (detaching and closing
-  /// any previous one), resets the per-session wire state (decoder, both
-  /// compression rings) and sends the JOIN. Used by join() and by every
-  /// reconnect attempt.
+  /// any previous one), starts a fresh wire::Session and sends the JOIN.
+  /// Used by join() and by every reconnect attempt.
   void start_session(std::unique_ptr<transport::Transport> transport);
   /// Close-handler path: decides whether this loss starts (or continues) an
   /// outage and schedules the next dial.
@@ -223,10 +224,13 @@ class RouterInterface {
   void schedule_reconnect();
   void attempt_reconnect();
 
-  void send_message(const wire::TunnelMessage& message, bool compressible);
-  /// Zero-copy data-frame send: runs the compression policy on `frame` and
-  /// serializes straight into the reusable send buffer (no TunnelMessage,
-  /// no payload copy). The counterpart of RouteServer::deliver_to_port.
+  /// Flushes the open uplink batch, then sends one control frame (epoch 0)
+  /// framed in the session's send buffer. No-op while the tunnel is down.
+  void send_control(wire::MessageType type, wire::RouterId router,
+                    util::BytesView payload);
+  /// Zero-copy data-frame send: frames `frame` straight into the session's
+  /// open uplink batch (no TunnelMessage, no payload copy). The counterpart
+  /// of RouteServer::deliver_to_port.
   /// A nonzero `trace_id` rides the tunnel header (kFlagTraced) so the
   /// route server's spans for this frame join the same trace.
   void send_data(wire::RouterId router_id, wire::PortId port_id,
@@ -254,32 +258,13 @@ class RouterInterface {
   util::Rng jitter_rng_;
   std::string server_address_ = "netlabs.accenture.com";
   std::vector<Router> routers_;
-  /// The framed JOIN built from routers_' declarations by the first session
+  /// The JOIN payload built from routers_' declarations by the first session
   /// that needs it and resent by every reconnect. add_router, map_port,
   /// attach_console and declare_slices clear it, so the next session
   /// declares the changed inventory.
-  util::Bytes join_wire_;
+  util::Bytes join_payload_;
   std::unique_ptr<transport::Transport> transport_;
-  wire::MessageDecoder decoder_;
-  /// Per-session codecs, created on first use: the compressor by the first
-  /// frame sent with compression on, the decompressor by the first recorded
-  /// frame received. Compression is off by default and each codec is a
-  /// 16-slot ring of frame buffers, so a site that never compresses carries
-  /// neither.
-  std::unique_ptr<wire::TemplateCompressor> compressor_;
-  std::unique_ptr<wire::TemplateDecompressor> decompressor_;
-  util::Histogram* compression_ratio_hist_ = nullptr;
-  /// Reusable send buffer: data frames serialize into it in place (cleared
-  /// per send, capacity kept), so steady-state uplink is allocation-free.
-  util::ByteWriter send_buffer_;
   bool compression_enabled_ = false;
-  /// Data frames serialized into send_buffer_ but not yet written to the
-  /// transport. Cleared on flush and on every session change (the batch
-  /// belongs to exactly one connection).
-  std::size_t pending_uplink_frames_ = 0;
-  /// Trace id of the first traced frame in the open uplink batch (0 if
-  /// none); the flush span is attributed to it. Reset with the batch.
-  std::uint64_t uplink_batch_trace_id_ = 0;
   /// The zero-delay end-of-burst flush, armed by each append that opens a
   /// batch.
   simnet::Timer uplink_flush_;
@@ -309,6 +294,9 @@ class RouterInterface {
   // registry reads it through "ris.<site>."-prefixed probes at dump time.
   util::MetricsRegistry* metrics_ = nullptr;
   std::string metrics_prefix_;
+  /// The connection's wire state: decoder, codecs, and the send buffer
+  /// holding the open uplink batch. start_session resets it.
+  wire::Session session_;
   util::Histogram* capture_hist_ = nullptr;
   util::Histogram* replay_hist_ = nullptr;
   /// Data frames per uplink flush.

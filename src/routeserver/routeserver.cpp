@@ -68,7 +68,7 @@ RouteServer::RouteServer(simnet::Scheduler& scheduler,
     return static_cast<std::int64_t>(wires_);
   });
   metrics_->probe_gauge("routeserver.active_captures", [this] {
-    return static_cast<std::int64_t>(active_captures_);
+    return static_cast<std::int64_t>(captures_.size());
   });
   metrics_->probe_gauge("routeserver.sites_shedding", [this] {
     return static_cast<std::int64_t>(sites_shedding());
@@ -105,7 +105,7 @@ RouteServer::~RouteServer() {
 
 void RouteServer::accept(std::unique_ptr<transport::Transport> transport) {
   purge_dead_sites();
-  auto site = std::make_unique<Site>();
+  auto site = std::make_unique<Site>(compression_ratio_hist_);
   Site* raw = site.get();
   site->last_heard = scheduler_.now();
   site->transport = std::move(transport);
@@ -185,21 +185,16 @@ void RouteServer::trace_instant(util::TraceInstant detail,
 }
 
 void RouteServer::flush_site(Site* site) {
-  const std::size_t frames = site->pending_data_frames;
+  const std::size_t frames = site->session.batch_frames();
   if (frames == 0) return;
-  const std::uint64_t batch_trace = site->batch_trace_id;
-  site->batch_trace_id = 0;
-  // Zero the pending accounting before the transport sees the bytes: from
-  // here on they are counted (once) by transport->queued_bytes(). send()
-  // may reenter teardown (a TCP write error closes the site), so this order
-  // is what keeps a mid-flight batch from being double-counted or leaking
-  // ghost bytes into egress_queued().
-  site->pending_data_frames = 0;
-  site->pending_data_bytes = 0;
-  if (site->dead || !site->transport->is_open()) {
-    site->send_buffer.clear();  // batch dies with the session
-    return;
-  }
+  const std::uint64_t batch_trace = site->session.batch_trace_id();
+  // Take the batch before the transport sees its bytes: from here on they
+  // are counted (once) by transport->queued_bytes(), not batch_bytes().
+  // send() may reenter teardown (a TCP write error closes the site), so
+  // this order keeps a mid-flight batch from being double-counted or
+  // leaking ghost bytes into egress_queued().
+  const util::BytesView batch = site->session.take_batch();
+  if (site->dead || !site->transport->is_open()) return;  // dies with it
   ++stats_.dataplane.egress_flushes;
   stats_.dataplane.frames_coalesced += frames - 1;
   egress_batch_hist_->record(frames);
@@ -207,15 +202,14 @@ void RouteServer::flush_site(Site* site) {
   // duration is the transport hand-off for all `frames` coalesced frames.
   if (batch_trace != 0 && tracing()) {
     const std::uint64_t t0 = util::monotonic_ns();
-    site->transport->send(site->send_buffer.view());
+    site->transport->send(batch);
     trace_ring_->push({batch_trace, t0, util::monotonic_ns() - t0,
                        util::TraceStage::kEgressFlush,
                        util::TraceInstant::kNone,
                        static_cast<std::uint32_t>(frames)});
   } else {
-    site->transport->send(site->send_buffer.view());
+    site->transport->send(batch);
   }
-  site->send_buffer.clear();
 }
 
 void RouteServer::flush_pending() {
@@ -407,8 +401,8 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
     // them after the server gave up on the session). Count the data frames
     // as stale-epoch drops — they can never reach a user port — and feed
     // nothing into the routing path.
-    const auto& late = site->decoder.feed_views(chunk);
-    if (!site->decoder.failed()) {
+    const auto& late = site->session.feed(chunk);
+    if (!site->session.failed()) {
       for (const auto& decoded : late) {
         if (decoded.type == wire::MessageType::kData) {
           ++stats_.stale_epoch_drops;
@@ -423,7 +417,7 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
   // every frame the chunk completed.
   const bool trace_decode = tracing();
   const std::uint64_t decode_t0 = trace_decode ? util::monotonic_ns() : 0;
-  const auto& messages = site->decoder.feed_views(chunk);
+  const auto& messages = site->session.feed(chunk);
   if (trace_decode && !messages.empty()) {
     // Attribute the batch span to its first traced frame (a batch mixes
     // traced and untraced frames; untraced-only batches emit nothing).
@@ -437,10 +431,10 @@ void RouteServer::on_site_data(Site* site, util::BytesView chunk) {
       break;
     }
   }
-  if (site->decoder.failed()) {
+  if (site->session.failed()) {
     ++stats_.decode_errors;
     RNL_LOG(kError, kLog) << "site '" << site->name
-                          << "': " << site->decoder.error();
+                          << "': " << site->session.error();
     site->transport->close();  // close handler marks the site dead
     return;
   }
@@ -494,13 +488,10 @@ void RouteServer::send_control(Site* site, wire::MessageType type,
   if (site->dead || !site->transport->is_open()) return;
   // Control shares the site's send buffer with the egress batch and must
   // not overtake data already accepted toward this site: flush the open
-  // batch first (one write), then serialize the control frame.
+  // batch first (one write), then frame the control message.
   flush_site(site);
-  site->send_buffer.clear();
-  wire::encode_message_into(site->send_buffer, type, router, /*port_id=*/0,
-                            payload, wire::PayloadCoding::kRaw,
-                            static_cast<std::uint8_t>(site->epoch));
-  util::BytesView encoded = site->send_buffer.view();
+  const util::BytesView encoded = site->session.frame_control(
+      type, router, payload, static_cast<std::uint8_t>(site->epoch));
   // Control is never shed. While the site's egress is backpressured (or
   // older control is already waiting — FIFO within the class), it defers
   // into pending_control for the priority flush on drain. Deferred bytes
@@ -618,8 +609,8 @@ void RouteServer::handle_join(Site* site,
         ids.port_ids.push_back(port.id);
         ensure_port_tables(next_port_id_);
         RNL_DCHECK(port.id < ports_.size());
-        RNL_DCHECK(ports_[port.id].site == nullptr);
-        ports_[port.id] = PortRecord{site, router.id};
+        RNL_DCHECK(ports_[port.id].owner.site == nullptr);
+        ports_[port.id].owner = PortRecord{site, router.id};
         ++port_count_;
       }
       routers_[router.id] = std::move(router);
@@ -687,12 +678,10 @@ bool RouteServer::rebind_retained(Site* site, const wire::JoinRequest& request,
       // Retained ids were allocated by a previous incarnation, so the dense
       // tables already cover them and the slot was cleared at its departure.
       RNL_DCHECK(port.id < ports_.size());
-      RNL_DCHECK(ports_[port.id].site == nullptr);
-      ports_[port.id] = PortRecord{site, retained.id};
+      RNL_DCHECK(ports_[port.id].owner.site == nullptr);
+      ports_[port.id].owner = PortRecord{site, retained.id};
       ++port_count_;
-      if (port.id < matrix_.size() && matrix_[port.id].peer != 0) {
-        ++stats_.matrix_entries_restored;
-      }
+      if (ports_[port.id].wire.peer != 0) ++stats_.matrix_entries_restored;
     }
     router_sites_[retained.id] = site;
     site->router_ids.push_back(retained.id);
@@ -720,43 +709,26 @@ void RouteServer::handle_data(Site* site,
   // would pass the epoch gate at epoch 0) or a port id copied from another
   // site's assignment — is spoofed and must not reach the matrix or advance
   // this session's decompressor ring.
-  {
-    const PortRecord* record = port_record(msg.port_id);
-    if (record == nullptr || record->site != site) {
-      ++stats_.spoofed_port_drops;
-      trace_instant(util::TraceInstant::kSpoofedPortDrop, msg.trace_id,
-                    msg.port_id);
-      return;
-    }
+  const PortSlot* source = owned_port(msg.port_id);
+  if (source == nullptr || source->owner.site != site) {
+    ++stats_.spoofed_port_drops;
+    trace_instant(util::TraceInstant::kSpoofedPortDrop, msg.trace_id,
+                  msg.port_id);
+    return;
   }
   // Zero-copy: a view into the decoder buffer or, for a compressed frame,
-  // into the decompressor ring slot it was inflated into. Only a frame the
-  // site recorded (every compressed one is) touches the ring, and it leaves
+  // into the decompressor ring slot it was inflated into. The frame leaves
   // the fast path only if a ring buffer had to grow.
-  util::BytesView frame = msg.payload;
   bool slow = false;
-  if (msg.recorded) {
-    if (!site->decompressor) {
-      site->decompressor = std::make_unique<wire::TemplateDecompressor>();
-    }
-    const std::uint64_t allocs_before = site->decompressor->allocations();
-    if (msg.compressed) {
-      auto inflated = site->decompressor->decompress(msg.payload);
-      if (!inflated.ok()) {
-        ++stats_.decode_errors;
-        return;
-      }
-      frame = *inflated;
-    } else {
-      site->decompressor->note_raw(msg.payload);
-    }
-    if (site->decompressor->allocations() != allocs_before) {
-      ++stats_.dataplane.payload_allocs;
-      slow = true;
-    }
+  const auto received = site->session.receive_data(msg, slow);
+  if (!received) {
+    ++stats_.decode_errors;
+    return;
   }
+  if (slow) ++stats_.dataplane.payload_allocs;
+  const util::BytesView frame = *received;
 
-  if (active_captures_ != 0) {
+  if (!captures_.empty()) {
     note_capture(msg.port_id, /*to_port=*/false, frame);
     slow = true;
   }
@@ -765,13 +737,13 @@ void RouteServer::handle_data(Site* site,
   // own span; lookup_start is 0 (and no sub-spans are emitted) otherwise.
   const bool traced = msg.trace_id != 0 && tracing();
   const std::uint64_t lookup_start = traced ? util::monotonic_ns() : 0;
-  if (msg.port_id >= matrix_.size() || matrix_[msg.port_id].peer == 0) {
+  const WireEnd& wire_end = source->wire;
+  if (wire_end.peer == 0) {
     ++stats_.unrouted_drops;
     trace_instant(util::TraceInstant::kUnroutedDrop, msg.trace_id,
                   msg.port_id);
     return;
   }
-  const WireEnd& wire_end = matrix_[msg.port_id];
   ++stats_.frames_routed;
   stats_.bytes_routed += frame.size();
   // Forward latency: host time from the routing decision to the encoded
@@ -839,9 +811,9 @@ void RouteServer::deliver_remote(wire::PortId port, util::BytesView frame,
 void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
                                   bool slow, std::uint64_t trace_id) {
   RNL_DCHECK(on_owner_thread());
-  PortRecord* record = port_record(port);
-  if (record == nullptr) return;  // site vanished mid-flight
-  Site* site = record->site;
+  const PortSlot* slot = owned_port(port);
+  if (slot == nullptr) return;  // site vanished mid-flight
+  Site* site = slot->owner.site;
   if (site->dead || !site->transport->is_open()) return;
 
   // Overload gate, before the frame touches capture or the compressor: a
@@ -860,59 +832,29 @@ void RouteServer::deliver_to_port(wire::PortId port, util::BytesView frame,
     return;
   }
 
-  if (active_captures_ != 0) {
+  if (!captures_.empty()) {
     note_capture(port, /*to_port=*/true, frame);
     slow = true;
   }
 
-  util::ByteWriter& w = site->send_buffer;
-  // Append behind the frames already accumulated this burst. Opening a
-  // batch (pending_data_frames == 0) clears the buffer first — send_control
-  // shares it and leaves its encoded control frame behind on both the send
-  // and defer paths, and flush_site's empty-batch early return never
-  // clears. Without this, that residue would be re-sent at the head of the
-  // next batch and counted by pending_data_bytes.
-  if (site->pending_data_frames == 0) w.clear();
-  const std::size_t cap_before = w.capacity();
-  // With compression on, every frame is recorded in the codec history and
-  // sent with kFlagRecorded, compressed or not, so the site's decompressor
-  // records it too; with it off the frame bypasses both rings.
-  util::BytesView payload = frame;
-  wire::PayloadCoding coding = wire::PayloadCoding::kRaw;
-  if (compression_enabled_) {
-    if (!site->compressor) {
-      site->compressor = std::make_unique<wire::TemplateCompressor>();
-      site->compressor->set_ratio_histogram(compression_ratio_hist_);
-    }
-    const std::uint64_t allocs_before = site->compressor->allocations();
-    const auto compressed = site->compressor->compress(frame);
-    payload = compressed.value_or(frame);
-    coding = compressed ? wire::PayloadCoding::kCompressed
-                        : wire::PayloadCoding::kRecorded;
-    if (site->compressor->allocations() != allocs_before) {
-      ++stats_.dataplane.payload_allocs;  // scratch buffer or ring slot grew
-      slow = true;
-    }
-  }
-  wire::encode_message_into(w, wire::MessageType::kData, record->router, port,
-                            payload, coding,
-                            static_cast<std::uint8_t>(site->epoch), trace_id);
-  if (w.capacity() != cap_before) {
-    ++stats_.dataplane.payload_allocs;  // send buffer grew (cold start)
+  // Appended behind the frames already accumulated this burst; a codec or
+  // send-buffer growth takes the frame off the fast path.
+  const int grown = site->session.append_data(
+      slot->owner.router, port, frame, compression_enabled_,
+      static_cast<std::uint8_t>(site->epoch), trace_id);
+  if (grown != 0) {
+    stats_.dataplane.payload_allocs += static_cast<std::uint64_t>(grown);
     slow = true;
   }
   stats_.dataplane.bytes_copied += frame.size();
-  ++site->pending_data_frames;
-  site->pending_data_bytes = w.size();
-  if (site->batch_trace_id == 0) site->batch_trace_id = trace_id;
   // Flush on the frame/byte caps — and the moment the batch pushes the
   // site's egress over the high watermark, so the transport sees the bytes
   // now and backpressure (shedding, hard cap, drain callbacks) engages
   // per-frame instead of a whole batch late. The frame itself is always
   // appended whole first: batching never splits a frame. A batch left open
   // waits in flush_list_ for the end-of-burst flush.
-  if (site->pending_data_frames >= kEgressBatchFrames ||
-      site->pending_data_bytes >= kEgressBatchBytes ||
+  if (site->session.batch_frames() >= kEgressBatchFrames ||
+      site->session.batch_bytes() >= kEgressBatchBytes ||
       (egress_high_ != 0 && egress_queued(site) >= egress_high_)) {
     flush_site(site);
   } else if (!site->in_flush_list) {
@@ -945,14 +887,11 @@ void RouteServer::remove_site(Site* site, bool orderly) {
   }
   site->pending_control.clear();
   site->pending_control_bytes = 0;
-  // An open egress batch dies with the session — zero the accounting so the
-  // per-site gauge (and any egress_queued read during teardown) never
-  // reports bytes for frames that can no longer be sent. The site may still
-  // sit in flush_list_; flush_site sees frames == 0 and no-ops.
-  site->pending_data_frames = 0;
-  site->pending_data_bytes = 0;
-  site->batch_trace_id = 0;
-  site->send_buffer.clear();
+  // An open egress batch dies with the session: taking it zeroes the
+  // accounting, so the per-site gauge (and any egress_queued read during
+  // teardown) never reports bytes for frames that can no longer be sent.
+  // The site may still sit in flush_list_; flush_site finds no batch.
+  site->session.take_batch();
 
   // Remove the site's routers from inventory ("those specialized equipment
   // defined by users could come and go at any time", §2.3). Both exit paths
@@ -976,17 +915,13 @@ void RouteServer::remove_site(Site* site, bool orderly) {
     if (router != routers_.end()) {
       for (const auto& port : router->second.ports) {
         if (orderly) disconnect_port(port.id);
-        if (port.id < ports_.size() && ports_[port.id].site != nullptr) {
-          RNL_DCHECK(ports_[port.id].site == site);
+        if (PortSlot* slot = owned_port(port.id)) {
+          RNL_DCHECK(slot->owner.site == site);
           RNL_DCHECK(port_count_ > 0);
-          ports_[port.id] = PortRecord{};
+          slot->owner = PortRecord{};
           --port_count_;
         }
-        if (port.id < captures_.size() && captures_[port.id] != nullptr) {
-          RNL_DCHECK(active_captures_ > 0);
-          captures_[port.id].reset();
-          --active_captures_;
-        }
+        captures_.erase(port.id);
       }
       if (registry != nullptr) {
         router->second.online = false;
@@ -1040,21 +975,14 @@ std::optional<InventoryRouter> RouteServer::find_router(
 }
 
 bool RouteServer::port_exists(wire::PortId id) const {
-  return id < ports_.size() && ports_[id].site != nullptr;
+  return id < ports_.size() && ports_[id].owner.site != nullptr;
 }
 
 void RouteServer::ensure_port_tables(wire::PortId limit) {
   // size_t arithmetic: limit + 1 in uint32 would wrap to 0 for UINT32_MAX
-  // and destroy every table.
-  std::size_t needed = static_cast<std::size_t>(limit) + 1;
-  if (needed <= ports_.size()) return;
-  ports_.resize(needed);
-  matrix_.resize(needed);
-  captures_.resize(needed);
-  // The per-frame path indexes all three tables with one bounds check on
-  // ports_; they must grow in lockstep.
-  RNL_DCHECK(ports_.size() == matrix_.size());
-  RNL_DCHECK(ports_.size() == captures_.size());
+  // and destroy the table.
+  const std::size_t needed = static_cast<std::size_t>(limit) + 1;
+  if (needed > ports_.size()) ports_.resize(needed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,7 +995,7 @@ util::Status RouteServer::connect_ports(wire::PortId a, wire::PortId b,
   if (!port_exists(a) || !port_exists(b)) {
     return util::Error{"connect_ports: unknown port id"};
   }
-  if (matrix_[a].peer != 0 || matrix_[b].peer != 0) {
+  if (ports_[a].wire.peer != 0 || ports_[b].wire.peer != 0) {
     return util::Error{
         "connect_ports: port already wired (deployed labs must be mutually "
         "exclusive)"};
@@ -1089,11 +1017,11 @@ util::Status RouteServer::connect_ports(wire::PortId a, wire::PortId b,
     }
     return end;
   };
-  matrix_[a] = make_end(b);
-  matrix_[b] = make_end(a);
+  ports_[a].wire = make_end(b);
+  ports_[b].wire = make_end(a);
   ++wires_;
   // Wires are symmetric by construction; the forwarding path relies on it.
-  RNL_DCHECK(matrix_[a].peer == b && matrix_[b].peer == a);
+  RNL_DCHECK(ports_[a].wire.peer == b && ports_[b].wire.peer == a);
   return util::Status::Ok();
 }
 
@@ -1103,7 +1031,7 @@ util::Status RouteServer::connect_port_remote(wire::PortId local,
   if (!port_exists(local)) {
     return util::Error{"connect_port_remote: unknown local port id"};
   }
-  if (matrix_[local].peer != 0) {
+  if (ports_[local].wire.peer != 0) {
     return util::Error{
         "connect_port_remote: port already wired (deployed labs must be "
         "mutually exclusive)"};
@@ -1123,41 +1051,42 @@ util::Status RouteServer::connect_port_remote(wire::PortId local,
         });
     end.netem->set_applied_delay_histogram(netem_delay_hist_);
   }
-  matrix_[local] = std::move(end);
+  ports_[local].wire = std::move(end);
   ++remote_wire_ends_;
   return util::Status::Ok();
 }
 
 void RouteServer::clear_remote_wire_end(wire::PortId local) {
-  if (local >= matrix_.size() || !matrix_[local].remote) return;
-  matrix_[local] = WireEnd{};
+  if (local >= ports_.size() || !ports_[local].wire.remote) return;
+  ports_[local].wire = WireEnd{};
   RNL_DCHECK(remote_wire_ends_ > 0);
   --remote_wire_ends_;
 }
 
 void RouteServer::disconnect_port(wire::PortId port) {
-  if (port >= matrix_.size() || matrix_[port].peer == 0) return;
-  if (matrix_[port].remote) {
+  if (port >= ports_.size() || ports_[port].wire.peer == 0) return;
+  const wire::PortId peer = ports_[port].wire.peer;
+  if (ports_[port].wire.remote) {
     // Cross-shard wire: clear the local end, then let the sharded layer
     // tell the owning shard to clear the other one (it posts a command —
     // never a synchronous cross-shard call from the data path).
-    const wire::PortId peer = matrix_[port].peer;
     clear_remote_wire_end(port);
     if (remote_disconnect_) remote_disconnect_(port, peer);
     return;
   }
-  wire::PortId peer = matrix_[port].peer;
-  RNL_DCHECK(peer < matrix_.size() && matrix_[peer].peer == port);
+  RNL_DCHECK(peer < ports_.size() && ports_[peer].wire.peer == port);
   RNL_DCHECK(wires_ > 0);
-  matrix_[port] = WireEnd{};
-  if (peer < matrix_.size()) matrix_[peer] = WireEnd{};
+  ports_[port].wire = WireEnd{};
+  if (peer < ports_.size()) ports_[peer].wire = WireEnd{};
   --wires_;
 }
 
 std::optional<wire::PortId> RouteServer::connected_to(
     wire::PortId port) const {
-  if (port >= matrix_.size() || matrix_[port].peer == 0) return std::nullopt;
-  return matrix_[port].peer;
+  if (port >= ports_.size() || ports_[port].wire.peer == 0) {
+    return std::nullopt;
+  }
+  return ports_[port].wire.peer;
 }
 
 std::size_t RouteServer::wire_count() const { return wires_; }
@@ -1169,30 +1098,27 @@ std::size_t RouteServer::wire_count() const { return wires_; }
 void RouteServer::start_capture(wire::PortId port) {
   // Only inventoried ports may be captured: growing the dense tables to an
   // arbitrary caller-supplied id would let one API call allocate gigabytes.
-  if (!port_exists(port)) return;
-  if (captures_[port] == nullptr) {
-    captures_[port] = std::make_unique<std::vector<CapturedFrame>>();
-    ++active_captures_;
-  }
+  if (port_exists(port)) captures_.try_emplace(port);
 }
 
 std::vector<CapturedFrame> RouteServer::stop_capture(wire::PortId port) {
-  if (port >= captures_.size() || captures_[port] == nullptr) return {};
-  std::vector<CapturedFrame> out = std::move(*captures_[port]);
-  captures_[port].reset();
-  --active_captures_;
+  auto capture = captures_.find(port);
+  if (capture == captures_.end()) return {};
+  std::vector<CapturedFrame> out = std::move(capture->second);
+  captures_.erase(capture);
   return out;
 }
 
 std::size_t RouteServer::capture_size(wire::PortId port) const {
-  if (port >= captures_.size() || captures_[port] == nullptr) return 0;
-  return captures_[port]->size();
+  auto capture = captures_.find(port);
+  return capture == captures_.end() ? 0 : capture->second.size();
 }
 
 void RouteServer::note_capture(wire::PortId port, bool to_port,
                                util::BytesView frame) {
-  if (port >= captures_.size() || captures_[port] == nullptr) return;
-  captures_[port]->push_back(CapturedFrame{
+  auto capture = captures_.find(port);
+  if (capture == captures_.end()) return;
+  capture->second.push_back(CapturedFrame{
       port, to_port, util::Bytes(frame.begin(), frame.end()),
       scheduler_.now()});
 }

@@ -32,8 +32,8 @@
 #include "transport/transport.h"
 #include "util/metrics.h"
 #include "util/trace.h"
-#include "wire/compression.h"
 #include "wire/netem.h"
+#include "wire/session.h"
 #include "wire/tunnel.h"
 
 namespace rnl::routeserver {
@@ -385,19 +385,14 @@ class RouteServer {
 
  private:
   struct Site {
+    explicit Site(util::Histogram* compression_ratio)
+        : session(compression_ratio) {}
+
     std::unique_ptr<transport::Transport> transport;
-    wire::MessageDecoder decoder;
-    // Per-direction codecs: decompress what the site sends, compress what
-    // we send to it. Created on first use (the first recorded frame in, the
-    // first frame out with compression on), so a session that never
-    // compresses carries neither codec's rings.
-    std::unique_ptr<wire::TemplateDecompressor> decompressor;
-    std::unique_ptr<wire::TemplateCompressor> compressor;
-    /// Reusable buffer: outgoing frames serialize straight into it
-    /// (cleared, capacity kept), so it stops allocating once it has seen
-    /// the site's largest batch. Decompressed inbound payloads land in the
-    /// decompressor's own ring.
-    util::ByteWriter send_buffer;
+    /// The connection's wire state: decoder, codecs (created on first use),
+    /// and the send buffer holding the open egress batch. A Site is one
+    /// connection, so a rejoin starts from a fresh Session.
+    wire::Session session;
     std::string name;
     std::vector<wire::RouterId> router_ids;
     /// The dispatch layer's parse of this connection's first kJoin, which
@@ -427,24 +422,12 @@ class RouteServer {
     /// toward the hard cap so even control spam to a wedged site is bounded.
     std::deque<util::Bytes> pending_control;
     std::size_t pending_control_bytes = 0;
-    /// Egress batch: data frames already serialized into send_buffer but
-    /// not yet handed to the transport. pending_data_bytes mirrors
-    /// send_buffer.size() while a batch is open; both are zeroed *before*
-    /// the flush's transport->send so egress accounting counts each byte
-    /// exactly once (never both here and in transport->queued_bytes()),
-    /// even when the send tears the site down reentrantly.
-    std::size_t pending_data_frames = 0;
-    std::size_t pending_data_bytes = 0;
     /// True while the site sits in flush_list_. Guards the push in
     /// deliver_to_port: flush_site runs directly on frame-cap/watermark/
     /// control triggers without removing the entry, so without this flag
     /// one burst could enqueue the same site repeatedly. Cleared only by
     /// flush_pending, which actually drains the list.
     bool in_flush_list = false;
-    /// Trace id of the first traced frame in the open egress batch (0 if
-    /// none): a flush carries many frames, so its span is attributed to the
-    /// first traced one. Reset by flush_site.
-    std::uint64_t batch_trace_id = 0;
   };
 
   /// Per-site-name state that outlives any one connection. An un-orderly
@@ -471,12 +454,20 @@ class RouteServer {
     wire::RouterId router = 0;
   };
 
+  /// Members ordered so an end packs into 16 bytes and a PortSlot into 32.
   struct WireEnd {
     wire::PortId peer = 0;  // 0: unwired (port ids start at 1)
-    std::unique_ptr<wire::Netem> netem;  // impairment toward `peer`
     /// True when `peer` lives on another shard: frames leaving this end go
     /// through the remote-deliver handler instead of deliver_to_port.
     bool remote = false;
+    std::unique_ptr<wire::Netem> netem;  // impairment toward `peer`
+  };
+
+  /// One port id's entry in the port table: its owner and its end of the
+  /// routing matrix, so the forward path finds both with one load.
+  struct PortSlot {
+    PortRecord owner;
+    WireEnd wire;
   };
 
   void on_site_data(Site* site, util::BytesView chunk);
@@ -543,7 +534,7 @@ class RouteServer {
     // Unflushed batch bytes count toward the egress budget: shedding must
     // trigger per-frame even while the bytes are still in the send buffer.
     return site->transport->queued_bytes() + site->pending_control_bytes +
-           site->pending_data_bytes;
+           site->session.batch_bytes();
   }
   void note_capture(wire::PortId port, bool to_port, util::BytesView frame);
   /// True while spans/instants should be emitted: tracer attached + enabled
@@ -555,11 +546,11 @@ class RouteServer {
   /// tracing; no-op otherwise.
   void trace_instant(util::TraceInstant detail, std::uint64_t trace_id,
                      std::uint32_t arg);
-  /// Grows the dense port-indexed tables to cover ids < `limit`.
+  /// Grows the port table to cover ids < `limit`.
   void ensure_port_tables(wire::PortId limit);
-  [[nodiscard]] PortRecord* port_record(wire::PortId port) {
-    if (port >= ports_.size() || ports_[port].site == nullptr) return nullptr;
-    return &ports_[port];
+  /// The slot of a port some live site owns, nullptr otherwise.
+  [[nodiscard]] PortSlot* owned_port(wire::PortId port) {
+    return port_exists(port) ? &ports_[port] : nullptr;
   }
 
   simnet::Scheduler& scheduler_;
@@ -573,16 +564,13 @@ class RouteServer {
   std::map<wire::RouterId, Site*> router_sites_;
   /// Keyed by site name; see RetainedSite.
   std::map<std::string, RetainedSite> site_registry_;
-  // Dense tables indexed by the server-assigned sequential port id (slot 0
-  // unused). The per-frame path does two bounded vector loads where the old
-  // std::map design chased red-black-tree nodes.
-  std::vector<PortRecord> ports_;
-  std::vector<WireEnd> matrix_;
-  std::vector<std::unique_ptr<std::vector<CapturedFrame>>> captures_;
-  /// Number of ports with a live capture buffer; the per-frame capture check
-  /// is this single compare against zero.
-  std::size_t active_captures_ = 0;
-  std::size_t port_count_ = 0;  // live (site != nullptr) entries in ports_
+  /// Dense table indexed by the server-assigned port id (slot 0 unused):
+  /// the owner and routing-matrix entry of every port.
+  std::vector<PortSlot> ports_;
+  /// Live captures by port. Capture is rarely on, so the per-frame check
+  /// is empty().
+  std::map<wire::PortId, std::vector<CapturedFrame>> captures_;
+  std::size_t port_count_ = 0;  // ports_ entries with a live owner
   /// Sites that are live (not dead), joined and shedding, kept at each
   /// regime transition so deploy admission never scans the shard.
   std::size_t sites_shedding_ = 0;

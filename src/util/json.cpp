@@ -306,7 +306,7 @@ namespace {
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-// The bytes a number token spans: strtod decides what they mean.
+// The bytes a number token spans; parse_number decides if they spell one.
 bool is_number_char(char c) {
   return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
          c == '-';
@@ -360,8 +360,6 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 128;
-
   std::string err(std::string_view what) const {
     std::string message = "json parse error at offset ";
     message += std::to_string(pos_);
@@ -400,7 +398,7 @@ class Parser {
 
   /// Parses one value and pushes it onto the scratch value stack.
   bool parse_value(int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
+    if (depth > Json::kMaxDepth) return fail("nesting too deep");
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
@@ -585,36 +583,52 @@ class Parser {
   }
 
   bool parse_number() {
-    const std::size_t start = pos_;
-    // Ids, ports, epochs and timestamps: an optional minus and at most 15
-    // digits are exact in a double and convert here. Every other spelling
-    // takes strtod, which decides what the token means.
+    // One scan checks the token against RFC 8259's number grammar,
+    //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+    // Ids, ports, epochs and timestamps (integers of at most 15 digits,
+    // exact in a double) convert here; every other number takes strtod.
     constexpr std::size_t kDirectDigits = 15;
+    const std::size_t start = pos_;
     std::size_t end = start;
-    const bool negative = end < text_.size() && text_[end] == '-';
+    auto digits = [&] {
+      const std::size_t first = end;
+      while (end < text_.size() && is_digit(text_[end])) ++end;
+      return end - first;
+    };
+    auto at = [&](char c) { return end < text_.size() && text_[end] == c; };
+    const bool negative = at('-');
     if (negative) ++end;
-    const std::size_t digits = end;
-    std::uint64_t magnitude = 0;
-    while (end < text_.size() && is_digit(text_[end]) &&
-           end - digits <= kDirectDigits) {
+    const std::size_t first_digit = end;
+    std::uint64_t magnitude = 0;  // wraps past 19 digits; read up to 15
+    for (; end < text_.size() && is_digit(text_[end]); ++end) {
       magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[end] - '0');
-      ++end;
     }
-    if (end > digits && end - digits <= kDirectDigits &&
+    const std::size_t integer_digits = end - first_digit;
+    bool valid = integer_digits == 1 ||
+                 (integer_digits > 1 && text_[first_digit] != '0');
+    if (valid && integer_digits <= kDirectDigits &&
         (end == text_.size() || !is_number_char(text_[end]))) {
       pos_ = end;
       const auto value = static_cast<double>(magnitude);
       scratch_.values.emplace_back(negative ? -value : value);
       return true;
     }
+    if (valid && at('.')) {
+      ++end;
+      valid = digits() > 0;
+    }
+    if (valid && (at('e') || at('E'))) {
+      ++end;
+      if (at('+') || at('-')) ++end;
+      valid = digits() > 0;
+    }
+    pos_ = end;
     while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
     if (pos_ == start) return fail("expected value");
     const std::string token(text_.substr(start, pos_ - start));
-    char* token_end = nullptr;
-    double value = std::strtod(token.c_str(), &token_end);
-    if (token_end != token.c_str() + token.size()) {
-      return fail("invalid number '" + token + "'");
-    }
+    if (!valid || pos_ != end) return fail("invalid number '" + token + "'");
+    // strtod reads every token the grammar accepts whole.
+    const double value = std::strtod(token.c_str(), nullptr);
     // "1e999" overflows strtod to infinity; accepting it would round-trip
     // through dump() as a non-JSON token. Out-of-range is a parse error.
     if (!std::isfinite(value)) {

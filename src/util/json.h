@@ -99,6 +99,10 @@ class Json {
   /// Pretty serialization with 2-space indent.
   [[nodiscard]] std::string dump_pretty() const;
 
+  /// The deepest nesting parse() accepts: the top-level value is at depth
+  /// 0, and each array or object a value sits in adds one.
+  static constexpr int kMaxDepth = 128;
+
   static Result<Json> parse(std::string_view text);
 
   bool operator==(const Json& other) const;

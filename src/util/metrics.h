@@ -64,14 +64,13 @@ namespace rnl::util {
 /// For instrumentation only — simulated time stays in SimTime/Duration.
 std::uint64_t monotonic_ns();
 
-// The instrument cells are parameterized over concurrency traits
-// (util/concurrency.h): the default StdConcurrency aliases below are
-// byte-identical to the former plain classes, while the model checker
-// instantiates Basic*<ModelConcurrency> to explore the hot-path increments
-// against a concurrent snapshot reader (DESIGN.md §13).
+// Histograms are parameterized over concurrency traits (util/concurrency.h):
+// the shipped Histogram alias below uses StdConcurrency, while the model
+// checker instantiates BasicHistogram<ModelConcurrency> to explore the
+// hot-path increments against a concurrent snapshot reader (DESIGN.md §13).
+// Counters and gauges are plain std::atomic cells.
 
-template <typename Concurrency = StdConcurrency>
-class BasicCounter {
+class Counter {
  public:
   void inc(std::uint64_t n = 1) {
     // Relaxed: single hot-path writer per shard; atomicity only makes the
@@ -84,11 +83,10 @@ class BasicCounter {
   }
 
  private:
-  typename Concurrency::template Atomic<std::uint64_t> value_{0};
+  std::atomic<std::uint64_t> value_{0};
 };
 
-template <typename Concurrency = StdConcurrency>
-class BasicGauge {
+class Gauge {
  public:
   // Relaxed throughout: single hot-path writer per shard; atomicity only
   // makes the cross-shard dump reads defined (file comment above).
@@ -100,7 +98,7 @@ class BasicGauge {
   }
 
  private:
-  typename Concurrency::template Atomic<std::int64_t> value_{0};
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Fixed-bucket log2 histogram: bucket b holds values whose bit width is b,
@@ -220,10 +218,7 @@ class BasicHistogram {
   Atomic<std::uint64_t> max_{0};
 };
 
-/// The shipped instruments: plain std::atomic cells, exactly as before the
-/// traits parameterization.
-using Counter = BasicCounter<StdConcurrency>;
-using Gauge = BasicGauge<StdConcurrency>;
+/// The shipped histogram: plain std::atomic cells.
 using Histogram = BasicHistogram<StdConcurrency>;
 
 class MetricsRegistry {

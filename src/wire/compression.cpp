@@ -142,11 +142,6 @@ std::optional<util::BytesView> TemplateCompressor::compress(
   return scratch_.view();
 }
 
-void TemplateCompressor::reset() {
-  for (auto& slot : ring_) slot.clear();
-  count_ = 0;
-}
-
 util::Result<util::BytesView> TemplateDecompressor::decompress(
     util::BytesView encoded) {
   util::ByteReader r(encoded);
@@ -198,11 +193,6 @@ util::Result<util::BytesView> TemplateDecompressor::decompress(
   slot.swap(out);  // the evicted frame's buffer becomes the next spare
   ++count_;
   return util::BytesView(slot);
-}
-
-void TemplateDecompressor::reset() {
-  for (auto& slot : ring_) slot.clear();
-  count_ = 0;
 }
 
 void TemplateDecompressor::note_raw(util::BytesView frame) {

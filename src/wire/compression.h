@@ -15,11 +15,13 @@
 // raw frame only when the bit is set. The transport is reliable and ordered,
 // so both rings hold exactly the frames sent with the bit, in stream order,
 // and compression can be toggled at either end at any time. A frame sent
-// with compression off never touches a ring. A frame is encoded as a
-// byte-aligned diff against the best recent reference: alternating
-// copy-from-reference / literal runs. Template traffic collapses to a few
-// bytes; incompressible traffic is sent raw (the codec returns nullopt and
-// the caller sends the frame as recorded but uncompressed).
+// with compression off never touches a ring; wire::Session (session.h)
+// holds one connection's two codecs and applies this rule at both ends. A
+// frame is encoded as a byte-aligned diff against the best recent
+// reference: alternating copy-from-reference / literal runs. Template
+// traffic collapses to a few bytes; incompressible traffic is sent raw (the
+// codec returns nullopt and the caller sends the frame as recorded but
+// uncompressed).
 //
 // Neither codec allocates per frame in steady state: the encoder writes
 // into a scratch buffer it owns, the decoder inflates into a ring buffer,
@@ -60,9 +62,13 @@ class TemplateCompressor {
   static constexpr std::size_t kRingSize = 16;
   static constexpr std::size_t kDefaultSearchDepth = 8;
 
-  explicit TemplateCompressor(
-      std::size_t search_depth = kDefaultSearchDepth)
-      : search_depth_(search_depth > kRingSize ? kRingSize : search_depth) {}
+  /// Each compressed frame records its ratio x100 (100 = 1.0x, 2500 = 25x)
+  /// into `ratio_histogram` — the paper's template-traffic claim as a
+  /// distribution. Non-owning; nullptr records nothing.
+  explicit TemplateCompressor(std::size_t search_depth = kDefaultSearchDepth,
+                              util::Histogram* ratio_histogram = nullptr)
+      : search_depth_(search_depth > kRingSize ? kRingSize : search_depth),
+        ratio_hist_(ratio_histogram) {}
 
   /// Records `frame` as the newest ring entry and attempts to compress it.
   /// Returns the encoded bytes if strictly smaller than the original,
@@ -72,35 +78,19 @@ class TemplateCompressor {
   /// until the next call.
   std::optional<util::BytesView> compress(util::BytesView frame);
 
-  /// Forgets the entire reference ring. Lockstep is per *session*: when the
-  /// tunnel is re-established (peer restart, RIS reconnect) the other side
-  /// starts from an empty ring, so continuing to emit references against
-  /// pre-restart history would desynchronize the codec permanently. Both
-  /// ends call reset() when a new session epoch begins. Cumulative stats
-  /// survive the reset — only the compression state is per-session.
-  void reset();
-
   [[nodiscard]] const CompressionStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t search_depth() const { return search_depth_; }
   /// Calls that had to grow the scratch buffer or a ring slot, counted once
   /// per call. Flat once every buffer has held the stream's largest frame.
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
-  /// Each successfully compressed frame records its per-frame ratio x100
-  /// (100 = 1.0x, 2500 = 25x) into `histogram` — the paper's
-  /// template-traffic claim as a distribution. Non-owning; nullptr disables.
-  void set_ratio_histogram(util::Histogram* histogram) {
-    ratio_hist_ = histogram;
-  }
-
  private:
   std::size_t search_depth_;
+  util::Histogram* ratio_hist_;
   std::array<util::Bytes, kRingSize> ring_;
   std::uint64_t count_ = 0;  // frames committed so far
   util::ByteWriter scratch_;  // the last encoding; cleared, capacity kept
   std::uint64_t allocations_ = 0;
   CompressionStats stats_;
-  util::Histogram* ratio_hist_ = nullptr;
 };
 
 class TemplateDecompressor {
@@ -113,8 +103,6 @@ class TemplateDecompressor {
   /// recorded via note_raw so the rings stay aligned.
   util::Result<util::BytesView> decompress(util::BytesView encoded);
   void note_raw(util::BytesView frame);
-  /// Forgets the reference ring (see TemplateCompressor::reset).
-  void reset();
   /// Calls that grew a ring slot (see TemplateCompressor::allocations).
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 

@@ -1,5 +1,8 @@
 #include "wire/tunnel.h"
 
+#include "util/check.h"
+#include "wire/session.h"
+
 namespace rnl::wire {
 
 namespace {
@@ -69,6 +72,51 @@ void encode_message_into(util::ByteWriter& w, MessageType type,
   }
   w.raw(header, kHeaderSize + prefix);
   w.raw(payload);
+}
+
+// ---------------------------------------------------------------------------
+// Session. Framing a data frame and passing an unrecorded one through are
+// inline in session.h, so both ends' forward paths inline them; codec
+// creation, compression, inflation and control framing live here.
+// ---------------------------------------------------------------------------
+
+util::BytesView Session::compress_frame(util::BytesView frame,
+                                        PayloadCoding& coding, int& grown) {
+  if (!compressor_) {
+    compressor_ = std::make_unique<TemplateCompressor>(
+        TemplateCompressor::kDefaultSearchDepth, ratio_hist_);
+  }
+  const std::uint64_t allocations = compressor_->allocations();
+  const auto compressed = compressor_->compress(frame);
+  if (compressor_->allocations() != allocations) ++grown;
+  coding = compressed ? PayloadCoding::kCompressed : PayloadCoding::kRecorded;
+  return compressed.value_or(frame);
+}
+
+std::optional<util::BytesView> Session::record(
+    const MessageDecoder::DecodedView& view, bool& grew) {
+  if (!decompressor_) decompressor_ = std::make_unique<TemplateDecompressor>();
+  const std::uint64_t allocations = decompressor_->allocations();
+  util::BytesView frame = view.payload;
+  if (view.compressed) {
+    auto inflated = decompressor_->decompress(view.payload);
+    if (!inflated.ok()) return std::nullopt;
+    frame = *inflated;
+  } else {
+    decompressor_->note_raw(view.payload);
+  }
+  grew = decompressor_->allocations() != allocations;
+  return frame;
+}
+
+util::BytesView Session::frame_control(MessageType type, RouterId router,
+                                       util::BytesView payload,
+                                       std::uint8_t epoch) {
+  RNL_DCHECK(batch_frames_ == 0);
+  out_.clear();
+  encode_message_into(out_, type, router, /*port_id=*/0, payload,
+                      PayloadCoding::kRaw, epoch);
+  return out_.view();
 }
 
 const std::vector<MessageDecoder::DecodedView>& MessageDecoder::feed_views(

@@ -511,5 +511,53 @@ TEST(JournalStore, KvInterfaceListsSortedKeysAndRejectsHostileOnes) {
   EXPECT_FALSE(store.get("design/alice/a1").ok());
 }
 
+TEST(JournalStore, RefusesDocumentsTheSnapshotCouldNotReadBack) {
+  // A snapshot nests each kv document and each pending stream event four
+  // levels deep, so recovery parses it back only if the document itself is
+  // at most Json::kMaxDepth - 4 deep.
+  auto nested = [](int depth) {
+    Json doc(1);
+    for (int i = 0; i < depth; ++i) doc = Json(util::JsonArray{doc});
+    return doc;
+  };
+  const int deepest = JournalStore::kMaxDocumentDepth;
+  ASSERT_EQ(deepest, Json::kMaxDepth - 4);
+  const Json shallow = *Json::parse(
+      R"({"site":"hq","routers":[{"name":"r1","ports":[1,2,3]}]})");
+  TempDir dir;
+  {
+    JournalStore store(dir.path(), nullptr, no_fsync());
+    EXPECT_FALSE(store.put("deep", nested(Json::kMaxDepth)).ok());
+    EXPECT_FALSE(store.put("deep", nested(deepest + 1)).ok());
+    EXPECT_FALSE(store.append("events", nested(deepest + 1)).ok());
+    EXPECT_EQ(store.stats().events_appended, 0u);  // journaled nothing
+    ASSERT_TRUE(store.put("edge", nested(deepest)).ok());
+    ASSERT_TRUE(store.put("shallow", shallow).ok());
+    ASSERT_TRUE(store.append("events", nested(deepest)).ok());
+  }
+  {
+    // Recovery holds the event as the stream's pending tail; the snapshot
+    // carries it forward beside the kv documents.
+    JournalStore store(dir.path(), nullptr, no_fsync());
+    ASSERT_TRUE(store.compact().ok());
+  }
+  JournalStore store(dir.path(), nullptr, no_fsync());
+  EXPECT_EQ(store.stats().quarantined_records, 0u);
+  EXPECT_EQ(store.stats().snapshot_loads, 1u);
+  EXPECT_FALSE(store.contains("deep"));
+  auto edge = store.get("edge");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(*edge, nested(deepest));
+  auto back = store.get("shallow");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, shallow);
+  std::vector<Json> events;
+  JournalStore::StreamHooks hooks;
+  hooks.apply = [&](const Json& event) { events.push_back(event); };
+  auto registration = store.register_stream("events", hooks);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0], nested(deepest));
+}
+
 }  // namespace
 }  // namespace rnl::core

@@ -64,14 +64,17 @@ struct WireFrame {
 
 /// Passes every call through to `inner` and decodes the bytes this end
 /// sends, so a test can read the flags of each kData frame it put on the
-/// wire, in order.
+/// wire, in order. `wire`, when given, receives every byte sent.
 class TappedTransport final : public transport::Transport {
  public:
   TappedTransport(std::unique_ptr<transport::Transport> inner,
-                  std::vector<WireFrame>& sent)
-      : inner_(std::move(inner)), sent_(sent) {}
+                  std::vector<WireFrame>& sent, util::Bytes* wire = nullptr)
+      : inner_(std::move(inner)), sent_(sent), wire_(wire) {}
 
   void send(util::BytesView bytes) override {
+    if (wire_ != nullptr) {
+      wire_->insert(wire_->end(), bytes.begin(), bytes.end());
+    }
     for (const auto& view : decoder_.feed_views(bytes)) {
       if (view.type == wire::MessageType::kData) {
         sent_.push_back({view.compressed, view.recorded});
@@ -101,6 +104,7 @@ class TappedTransport final : public transport::Transport {
  private:
   std::unique_ptr<transport::Transport> inner_;
   std::vector<WireFrame>& sent_;
+  util::Bytes* wire_;
   wire::MessageDecoder decoder_;
 };
 
@@ -655,6 +659,64 @@ TEST_F(RnlStack, ConsoleRelayExecutesCommands) {
   net.run_for(util::Duration::seconds(1));
   EXPECT_NE(output.find("hostname h1"), std::string::npos);
   EXPECT_NE(output.find("h1>"), std::string::npos);  // prompt came back
+}
+
+TEST_F(RnlStack, RisControlFramesKeepTheirWireBytes) {
+  // Every control frame the RIS sends (JOIN, keepalive, console reply,
+  // leave) is exactly wire::encode_message's form of it: no flag bits,
+  // epoch 0, port 0.
+  util::Bytes sent;
+  std::vector<WireFrame> data_frames;
+  site1.set_keepalive_interval(util::Duration::milliseconds(400));
+  auto [ris_end, server_end] = transport::make_sim_stream_pair(net.scheduler());
+  server.accept(std::move(server_end));
+  site1.join(std::make_unique<TappedTransport>(std::move(ris_end),
+                                               data_frames, &sent));
+  net.run_for(util::Duration::milliseconds(500));  // ack and one keepalive
+  ASSERT_TRUE(site1.joined());
+  const std::string command = "show running-config\n";
+  ASSERT_TRUE(server
+                  .console_send(router_of("us-west/h1"),
+                                util::BytesView(
+                                    reinterpret_cast<const std::uint8_t*>(
+                                        command.data()),
+                                    command.size()))
+                  .ok());
+  net.run_for(util::Duration::milliseconds(100));
+  site1.leave();
+
+  std::vector<wire::MessageType> types;
+  util::Bytes reencoded;
+  wire::MessageDecoder decoder;
+  for (const auto& decoded : decoder.feed(sent)) {
+    types.push_back(decoded.message.type);
+    const util::Bytes framed = wire::encode_message(decoded.message);
+    reencoded.insert(reencoded.end(), framed.begin(), framed.end());
+    if (decoded.message.type == wire::MessageType::kJoin) {
+      const std::string join_json = site1.config_json()["join"].dump();
+      EXPECT_EQ(decoded.message.payload,
+                util::Bytes(join_json.begin(), join_json.end()));
+    }
+    if (decoded.message.type == wire::MessageType::kConsoleData) {
+      EXPECT_EQ(decoded.message.router_id, router_of("us-west/h1"));
+    }
+  }
+  EXPECT_EQ(types, (std::vector<wire::MessageType>{
+                       wire::MessageType::kJoin, wire::MessageType::kKeepalive,
+                       wire::MessageType::kConsoleData,
+                       wire::MessageType::kLeave}));
+  EXPECT_EQ(sent, reencoded);
+  EXPECT_TRUE(data_frames.empty());
+  // The keepalive, byte for byte: "RNL1", version 1, type 5, then zeroed
+  // flags, router, port and length.
+  const util::Bytes keepalive = {0x52, 0x4E, 0x4C, 0x31, 1, 5, 0, 0, 0, 0,
+                                 0,    0,    0,    0,    0, 0, 0, 0, 0, 0};
+  wire::TunnelMessage message;
+  message.type = wire::MessageType::kKeepalive;
+  EXPECT_EQ(wire::encode_message(message), keepalive);
+  EXPECT_NE(std::search(sent.begin(), sent.end(), keepalive.begin(),
+                        keepalive.end()),
+            sent.end());
 }
 
 TEST_F(RnlStack, SiteDisconnectCleansInventoryAndWires) {

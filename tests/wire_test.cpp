@@ -1,11 +1,44 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "simnet/network.h"
 #include "util/rng.h"
 #include "wire/compression.h"
 #include "wire/layer1.h"
 #include "wire/netem.h"
+#include "wire/session.h"
 #include "wire/tunnel.h"
+
+// Counts, while a test watches, the operator new calls sized like a codec:
+// a Session creates each codec with one make_unique of exactly that size.
+namespace {
+struct CodecAllocations {
+  std::size_t compressors = 0;
+  std::size_t decompressors = 0;
+};
+bool g_watching = false;
+CodecAllocations g_codec_allocations;
+}  // namespace
+
+// GCC flags free() on memory from operator new even when both are replaced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (g_watching) {
+    if (size == sizeof(rnl::wire::TemplateCompressor)) {
+      ++g_codec_allocations.compressors;
+    } else if (size == sizeof(rnl::wire::TemplateDecompressor)) {
+      ++g_codec_allocations.decompressors;
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rnl::wire {
 namespace {
@@ -682,43 +715,30 @@ TEST(Compression, DecompressorRejectsCorruptInput) {
 }
 
 TEST(Compression, FramesSentWhileDisabledTouchNeitherRing) {
-  // The recorded-bit rule end to end through the framing: while enabled,
-  // the sender offers every frame to compress() and sends it with
-  // kFlagRecorded, compressed or raw; while disabled it sends kRaw without
-  // touching its codec. The receiver records exactly the frames carrying
-  // the bit. Disabled runs of unrelated frames longer than the ring would
-  // flush the template out of a ring that recorded them, so the first frame
-  // after each re-enable diffing against the last pre-toggle frame (age 1)
-  // and inflating intact shows neither ring saw the disabled run.
-  TemplateCompressor compressor;
-  TemplateDecompressor decompressor;
-  MessageDecoder decoder;
-  util::ByteWriter wire;
+  // The recorded-bit rule end to end through two Sessions, the code both
+  // tunnel ends run: while enabled, the sender offers every frame to its
+  // compressor and sends it with kFlagRecorded, compressed or raw; while
+  // disabled it sends kRaw without touching its codec. The receiver records
+  // exactly the frames carrying the bit. Disabled runs of unrelated frames
+  // longer than the ring would flush the template out of a ring that
+  // recorded them, so the first frame after each re-enable diffing against
+  // the last pre-toggle frame (age 1) and inflating intact shows neither
+  // ring saw the disabled run.
+  Session tx;
+  Session rx;
   util::Rng rng(7);
   auto transmit = [&](const util::Bytes& frame, bool enabled) {
-    util::BytesView payload = frame;
-    PayloadCoding coding = PayloadCoding::kRaw;
-    if (enabled) {
-      const auto compressed = compressor.compress(frame);
-      payload = compressed.value_or(payload);
-      coding = compressed ? PayloadCoding::kCompressed
-                          : PayloadCoding::kRecorded;
-    }
-    wire.clear();
-    encode_message_into(wire, MessageType::kData, 1, 1, payload, coding);
-    const auto& views = decoder.feed_views(wire.view());
+    tx.append_data(1, 1, frame, enabled, 0, 0);
+    const auto& views = rx.feed(tx.take_batch());
     EXPECT_EQ(views.size(), 1u);
     const MessageDecoder::DecodedView& msg = views.at(0);
     EXPECT_EQ(msg.recorded, enabled);
-    util::Bytes received = copy_of(msg.payload);
-    if (msg.compressed) {
-      auto inflated = decompressor.decompress(msg.payload);
-      EXPECT_TRUE(inflated.ok());
-      if (inflated.ok()) received = copy_of(*inflated);
-    } else if (msg.recorded) {
-      decompressor.note_raw(msg.payload);
+    bool grew = false;
+    const auto received = rx.receive_data(msg, grew);
+    EXPECT_TRUE(received.has_value());
+    if (received) {
+      EXPECT_EQ(copy_of(*received), frame);
     }
-    EXPECT_EQ(received, frame);
     return msg.compressed ? msg.payload[1] : 0;  // reference age, 0 if raw
   };
   util::Bytes frame(400, 0x42);
@@ -744,9 +764,9 @@ TEST(Compression, FramesSentWhileDisabledTouchNeitherRing) {
     EXPECT_EQ(transmit(next_template(), /*enabled=*/true), 1u)
         << "after a disabled run of " << disabled_run;
   }
-  EXPECT_FALSE(decoder.failed());
-  EXPECT_EQ(compressor.stats().frames_in, enabled_frames);
-  EXPECT_EQ(compressor.stats().frames_compressed, enabled_frames - 1);
+  EXPECT_FALSE(rx.failed());
+  EXPECT_EQ(tx.compression_stats().frames_in, enabled_frames);
+  EXPECT_EQ(tx.compression_stats().frames_compressed, enabled_frames - 1);
 }
 
 TEST(Compression, SteadyStateAllocatesNothing) {
@@ -790,58 +810,76 @@ TEST(Compression, SteadyStateAllocatesNothing) {
 TEST(Compression, LockstepSurvivesPeerRestartViaReset) {
   // Regression for the peer-restart desync: when one side restarts
   // mid-stream (RIS crash, reconnect) its ring is empty, but the surviving
-  // side's ring still holds the old session's frames. Without an explicit
-  // reset the survivor's first compressed frame references history the
-  // restarted peer never saw.
-  TemplateCompressor compressor;
-  TemplateDecompressor decompressor;
+  // side's ring still holds the old session's frames. Unless the survivor
+  // starts a new Session too, its first compressed frame references history
+  // the restarted peer never saw.
+  Session tx;
   util::Bytes frame(600, 0x5A);
-  auto pump = [&](TemplateDecompressor& rx, int n) -> util::Status {
+  auto pump = [&](Session& rx, int n) -> util::Status {
     for (int i = 0; i < n; ++i) {
       frame[7] = static_cast<std::uint8_t>(i);
-      auto compressed = compressor.compress(frame);
-      if (compressed.has_value()) {
-        auto inflated = rx.decompress(*compressed);
-        if (!inflated.ok()) return util::Error{inflated.error()};
-        EXPECT_EQ(copy_of(*inflated), frame);
-      } else {
-        rx.note_raw(frame);
+      tx.append_data(1, 1, frame, /*compress=*/true, 0, 0);
+      const auto& views = rx.feed(tx.take_batch());
+      if (views.size() != 1) return util::Error{"expected one frame"};
+      bool grew = false;
+      const auto received = rx.receive_data(views[0], grew);
+      if (!received) {
+        // The codec's own verdict on the diff the survivor sent.
+        TemplateDecompressor fresh;
+        auto inflated = fresh.decompress(views[0].payload);
+        return util::Error{inflated.ok() ? "inflated" : inflated.error()};
       }
+      EXPECT_EQ(copy_of(*received), frame);
     }
     return util::Status::Ok();
   };
-  ASSERT_TRUE(pump(decompressor, 10).ok());
-  ASSERT_GT(compressor.stats().frames_compressed, 0u);
+  Session rx;
+  ASSERT_TRUE(pump(rx, 10).ok());
+  ASSERT_GT(tx.compression_stats().frames_compressed, 0u);
 
-  // Peer restarts: fresh decompressor, compressor still has 10 frames of
-  // history. The next diff references a frame the new peer never recorded —
-  // this is the bug the session epoch + reset() wiring exists to prevent.
-  TemplateDecompressor restarted;
+  // Peer restarts: fresh Session, while tx still has 10 frames of history.
+  // The next diff references a frame the new peer never recorded — the bug
+  // the session epoch and a new Session per connection exist to prevent.
+  Session restarted;
   auto desynced = pump(restarted, 1);
   ASSERT_FALSE(desynced.ok());
   EXPECT_NE(desynced.error().find("reference age out of range"),
             std::string::npos);
 
-  // The fix: both sides reset to a clean epoch at session establishment.
-  compressor.reset();
-  TemplateDecompressor rejoined;
-  std::uint64_t before = compressor.stats().frames_compressed;
-  ASSERT_TRUE(pump(rejoined, 10).ok());
-  EXPECT_GE(compressor.stats().frames_compressed - before, 9u);
+  // The fix: both sides start the new connection from reset Sessions. The
+  // codec counters are per connection, so they start again from zero.
+  tx.reset();
+  restarted.reset();
+  EXPECT_EQ(tx.compression_stats().frames_in, 0u);
+  ASSERT_TRUE(pump(restarted, 10).ok());
+  EXPECT_GE(tx.compression_stats().frames_compressed, 9u);
 }
 
 TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
-  // Mixed workload: template bursts (compressible) interleaved with random
-  // frames (sent raw but recorded via the nullopt path) and disabled-phase
-  // frames (sent raw without kFlagRecorded, bypassing both codecs). The
-  // decompressor must reproduce every frame.
+  // Mixed workload through two Sessions: template bursts (compressible)
+  // interleaved with random frames (sent raw but recorded via the nullopt
+  // path) and disabled-phase frames (sent raw without kFlagRecorded,
+  // bypassing both codecs), several frames to a batch. The receiver must
+  // reproduce every frame.
   util::Rng rng(4242);
-  TemplateCompressor compressor;
-  TemplateDecompressor decompressor;
+  Session tx;
+  Session rx;
   util::Bytes base(350);
   for (auto& b : base) b = static_cast<std::uint8_t>(rng.next_u32());
   bool enabled = true;
   std::uint64_t enabled_frames = 0;
+  std::vector<util::Bytes> batch;
+  auto deliver = [&] {
+    const auto& views = rx.feed(tx.take_batch());
+    ASSERT_EQ(views.size(), batch.size());
+    for (std::size_t k = 0; k < views.size(); ++k) {
+      bool grew = false;
+      const auto received = rx.receive_data(views[k], grew);
+      ASSERT_TRUE(received.has_value()) << "frame " << k;
+      ASSERT_EQ(copy_of(*received), batch[k]) << "frame " << k;
+    }
+    batch.clear();
+  };
   for (int i = 0; i < 400; ++i) {
     if (i % 37 == 0) enabled = !enabled;  // mid-stream toggles
     util::Bytes frame;
@@ -852,28 +890,147 @@ TEST(Compression, MixedRawAndCompressedTrafficStaysLossless) {
       frame = base;
       frame[rng.below(frame.size())] = static_cast<std::uint8_t>(rng.next_u32());
     }
-    util::Bytes received;
-    if (enabled) {
-      ++enabled_frames;
-      auto compressed = compressor.compress(frame);
-      if (compressed.has_value()) {
-        auto inflated = decompressor.decompress(*compressed);
-        ASSERT_TRUE(inflated.ok()) << "frame " << i;
-        received = copy_of(*inflated);
-      } else {
-        decompressor.note_raw(frame);
-        received = frame;
-      }
-    } else {
-      received = frame;
-    }
-    ASSERT_EQ(received, frame) << "frame " << i;
+    if (enabled) ++enabled_frames;
+    tx.append_data(1, 1, frame, enabled, 0, 0);
+    batch.push_back(std::move(frame));
+    if (i % 5 == 4) deliver();
   }
+  deliver();
   // The template share must actually have exercised the compressed path,
   // and only frames sent while enabled reached the compressor.
-  EXPECT_GT(compressor.stats().frames_compressed, 100u);
-  EXPECT_EQ(compressor.stats().frames_in, enabled_frames);
+  EXPECT_GT(tx.compression_stats().frames_compressed, 100u);
+  EXPECT_EQ(tx.compression_stats().frames_in, enabled_frames);
   EXPECT_LT(enabled_frames, 400u);
+}
+
+// ---------------------------------------------------------------------------
+// Session
+// ---------------------------------------------------------------------------
+
+util::BytesView bytes_of(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+TEST(Session, BatchBytesReadZeroOnceTaken) {
+  Session session;
+  const util::Bytes frame(100, 0x33);
+  session.append_data(1, 2, frame, false, 0, /*trace_id=*/9);
+  session.append_data(1, 2, frame, false, 0, /*trace_id=*/11);
+  EXPECT_EQ(session.batch_frames(), 2u);
+  EXPECT_EQ(session.batch_trace_id(), 9u);  // the first traced frame's
+  const std::size_t open_bytes = session.batch_bytes();
+  EXPECT_GT(open_bytes, 2 * frame.size());
+  const util::BytesView batch = session.take_batch();
+  EXPECT_EQ(batch.size(), open_bytes);
+  EXPECT_EQ(session.batch_bytes(), 0u);
+  EXPECT_EQ(session.batch_frames(), 0u);
+  EXPECT_EQ(session.batch_trace_id(), 0u);
+}
+
+TEST(Session, ControlAndDataBatchesNeverShareBytes) {
+  Session session;
+  const util::Bytes data(64, 0x44);
+  session.append_data(3, 4, data, false, 0, 0);
+  const util::Bytes first_batch = copy_of(session.take_batch());
+
+  // A control frame framed after the taken batch is exactly the message.
+  TunnelMessage console;
+  console.type = MessageType::kConsoleData;
+  console.router_id = 3;
+  console.payload = copy_of(bytes_of("show version\n"));
+  const util::BytesView control = session.frame_control(
+      console.type, console.router_id, console.payload, 0);
+  EXPECT_EQ(copy_of(control), encode_message(console));
+  EXPECT_EQ(session.batch_bytes(), 0u);
+
+  // The next data batch carries none of the control frame's bytes.
+  session.append_data(3, 4, data, false, 0, 0);
+  EXPECT_EQ(copy_of(session.take_batch()), first_batch);
+}
+
+TEST(Session, ResetDropsHalfFrameCodecsAndOpenBatch) {
+  Session tx;
+  Session rx;
+  util::Bytes frame(200, 0x21);
+  for (int i = 0; i < 3; ++i) {
+    frame[0] = static_cast<std::uint8_t>(i);
+    tx.append_data(1, 1, frame, /*compress=*/true, 0, 0);
+    for (const auto& view : rx.feed(tx.take_batch())) {
+      bool grew = false;
+      ASSERT_TRUE(rx.receive_data(view, grew).has_value());
+    }
+  }
+  // tx now diffs against history rx holds; rx is half-way through a frame.
+  frame[0] = 3;
+  tx.append_data(1, 1, frame, /*compress=*/true, 0, 0);
+  const util::Bytes diff = copy_of(tx.take_batch());
+  ASSERT_TRUE(rx.feed(util::BytesView(diff).first(10)).empty());
+  tx.append_data(1, 1, frame, /*compress=*/false, 0, 0);  // left open
+
+  rx.reset();
+  tx.reset();
+  EXPECT_EQ(tx.batch_frames(), 0u);
+  EXPECT_EQ(tx.batch_bytes(), 0u);
+  EXPECT_EQ(tx.compression_stats().frames_in, 0u);
+
+  // The half frame is gone: the diff decodes whole from its first byte.
+  // The decompressor went with it: the diff's reference is history the
+  // reset receiver no longer holds.
+  const auto& views = rx.feed(diff);
+  ASSERT_EQ(views.size(), 1u);
+  ASSERT_TRUE(views[0].compressed);
+  bool grew = false;
+  EXPECT_FALSE(rx.receive_data(views[0], grew).has_value());
+
+  // The open batch is gone: the next batch holds only its own frame.
+  tx.append_data(1, 1, frame, /*compress=*/false, 0, 0);
+  EXPECT_EQ(tx.batch_frames(), 1u);
+  EXPECT_EQ(rx.feed(tx.take_batch()).size(), 1u);
+}
+
+TEST(Session, AppendReturnsTwoWhenCodecAndBufferBothGrow) {
+  Session session;
+  const util::Bytes frame(300, 0x55);
+  // The first compressed append grows a ring slot and the empty buffer.
+  EXPECT_EQ(session.append_data(1, 1, frame, true, 0, 0), 2);
+  // The same frame uncompressed fits the kept buffer: nothing grows.
+  session.take_batch();
+  EXPECT_EQ(session.append_data(1, 1, frame, false, 0, 0), 0);
+}
+
+template <typename Op>
+CodecAllocations codec_allocations_of(Op&& op) {
+  g_codec_allocations = {};
+  g_watching = true;
+  op();
+  g_watching = false;
+  return g_codec_allocations;
+}
+
+TEST(Session, CodecsAreCreatedOnlyByTheirFirstUse) {
+  Session tx;
+  Session rx;
+  util::Bytes frame(100, 0x66);
+  auto send = [&](bool compress, int frames) {
+    for (int i = 0; i < frames; ++i) {
+      frame[0] = static_cast<std::uint8_t>(i);
+      tx.append_data(1, 1, frame, compress, 0, 0);
+      for (const auto& view : rx.feed(tx.take_batch())) {
+        bool grew = false;
+        ASSERT_TRUE(rx.receive_data(view, grew).has_value());
+      }
+    }
+  };
+  // Sends with compression off create no compressor, and the unrecorded
+  // frames they carry create no decompressor.
+  const CodecAllocations off = codec_allocations_of([&] { send(false, 50); });
+  EXPECT_EQ(off.compressors, 0u);
+  EXPECT_EQ(off.decompressors, 0u);
+  // The first recorded frame creates each codec once; later ones reuse it.
+  const CodecAllocations on = codec_allocations_of([&] { send(true, 50); });
+  EXPECT_EQ(on.compressors, 1u);
+  EXPECT_EQ(on.decompressors, 1u);
+  EXPECT_EQ(tx.compression_stats().frames_in, 50u);
 }
 
 // ---------------------------------------------------------------------------
