@@ -151,9 +151,11 @@ if [[ "$faults" == 1 ]]; then
     --gtest_filter='*Overloaded*'
   # Sharded route server: kill-mid-traffic rejoin across a shard boundary,
   # cross-shard wire teardown, and ring-full drops -- the paths that free
-  # per-site state on one shard while the peer shard still holds WireEnds.
+  # per-site state on one shard while the peer shard still holds WireEnds --
+  # plus the one wire path: the merged wire count, impaired wires on one
+  # shard and across two, and the rollback of a half-installed wire.
   ./build-sanitize/tests/sharded_test \
-    --gtest_filter='*Rejoin*:*Disconnect*:*RingDrops*:*RingFull*'
+    --gtest_filter='*Rejoin*:*Disconnect*:*RingDrops*:*RingFull*:*WiresGauge*:*ImpairedWire*:*RollsBack*'
   # Reconnect jitter determinism: per-site RNG streams must keep --faults
   # replays byte-stable even when other consumers drain the shared RNG.
   ./build-sanitize/tests/ris_extras_test \

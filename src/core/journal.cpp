@@ -23,6 +23,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// The deepest stream state a snapshot can carry: recovery parses the
+/// snapshot back only within Json::kMaxDepth, and each state sits three
+/// levels down ({"streams":{name:{"state":...}}}).
+constexpr int kMaxStateDepth = util::Json::kMaxDepth - 3;
+
 /// True when `value` nests at most `depth` levels (a scalar or an empty
 /// container nests 0). Descends no deeper than the limit.
 bool nests_within(const util::Json& value, int depth) {
@@ -310,7 +315,11 @@ util::Status JournalStore::append_record(const std::string& stream,
   return util::Status::Ok();
 }
 
-util::Json JournalStore::snapshot_json() const {
+util::Result<util::Json> JournalStore::snapshot_json() const {
+  auto too_deep = [](const std::string& name) {
+    return util::Error{"journal: stream '" + name +
+                       "' state nests too deep to snapshot"};
+  };
   util::Json streams = util::Json::object();
   {
     util::Json state = util::Json::object();
@@ -322,15 +331,19 @@ util::Json JournalStore::snapshot_json() const {
   }
   for (const auto& [name, stream] : streams_) {
     const StreamHooks& hooks = stream.hooks;
+    util::Json state = hooks.state ? hooks.state() : util::Json();
+    if (!nests_within(state, kMaxStateDepth)) return too_deep(name);
     util::Json entry = util::Json::object();
-    entry.set("state", hooks.state ? hooks.state() : util::Json());
+    entry.set("state", std::move(state));
     entry.set("tail", util::Json::array());
     streams.set(name, std::move(entry));
   }
-  // Streams recovered but never registered in this process: carry their
-  // snapshot state and replayed tail forward verbatim so nothing is lost.
+  // Streams not registered in this process (recovered, released, or only
+  // appended to): carry their state and pending tail forward verbatim so
+  // the next register_stream replays them.
   for (const auto& [name, pending] : pending_) {
     if (streams_.count(name) != 0) continue;
+    if (!nests_within(pending.state, kMaxStateDepth)) return too_deep(name);
     util::Json entry = util::Json::object();
     entry.set("state", pending.has_state ? pending.state : util::Json());
     util::Json tail = util::Json::array();
@@ -345,7 +358,11 @@ util::Json JournalStore::snapshot_json() const {
 }
 
 util::Status JournalStore::compact() {
-  const std::string snapshot = snapshot_json().dump();
+  // A state recovery could not parse back is refused before anything is
+  // written: the previous snapshot and the log stay as they are.
+  const util::Result<util::Json> built = snapshot_json();
+  if (!built.ok()) return util::Error{built.error()};
+  const std::string snapshot = built->dump();
   util::Status status = fsutil::write_file_durable(snapshot_path(), snapshot);
   if (!status.ok()) return status;
   snapshot_seq_ = seq_;
@@ -434,7 +451,13 @@ util::Status JournalStore::append(const std::string& stream,
   if (!nests_within(event, kMaxDocumentDepth)) {
     return util::Error{"journal: event nests too deep to snapshot"};
   }
-  return append_record(stream, event);
+  util::Status status = append_record(stream, event);
+  // Nobody registered holds an unregistered stream's events: keep them as
+  // its pending tail, as recovery does, so compaction carries them.
+  if (status.ok() && streams_.count(stream) == 0) {
+    pending_[stream].tail.push_back(event);
+  }
+  return status;
 }
 
 // ---------------------------------------------------------------------------

@@ -200,9 +200,15 @@ class JournalStore {
   /// Journals one event for `stream`. The caller's in-memory state is the
   /// source of truth; the event must already have been applied to it.
   /// Fails, journaling nothing, for an event nested too deep to snapshot.
+  /// An event for a stream nobody has registered is also kept as that
+  /// stream's pending tail, which snapshots carry and the next
+  /// register_stream replays.
   util::Status append(const std::string& stream, const util::Json& event);
 
   /// Writes a snapshot (temp + rename + fsync) and truncates the journal.
+  /// Fails, writing nothing, when a stream's state nests deeper than
+  /// Json::kMaxDepth - 3, which recovery could not parse back; the error
+  /// names the stream. An append that would compact then fails too.
   util::Status compact();
 
   [[nodiscard]] const JournalStats& stats() const { return stats_; }
@@ -230,7 +236,9 @@ class JournalStore {
 
   void recover();
   void apply_kv_event(const util::Json& event);
-  [[nodiscard]] util::Json snapshot_json() const;
+  /// The snapshot document, or an error naming the first stream whose
+  /// state nests too deep for recovery to parse back.
+  [[nodiscard]] util::Result<util::Json> snapshot_json() const;
   util::Status append_record(const std::string& stream,
                              const util::Json& event);
   util::Status open_log_for_append();

@@ -16,6 +16,12 @@ void Device::flash_firmware(const Firmware& firmware) {
   power_on();
 }
 
+std::uint32_t Device::name_seed() const {
+  std::uint32_t h = 2166136261u;
+  for (char c : name_) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
+  return h;
+}
+
 int Device::find_port(const std::string& ifname) const {
   for (std::size_t i = 0; i < port_names_.size(); ++i) {
     if (port_names_[i] == ifname) return static_cast<int>(i);

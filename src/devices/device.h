@@ -12,6 +12,7 @@
 //   - carries a firmware version that gates feature behaviour (§1: "each
 //     [firmware version] behaves slightly different").
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -64,6 +65,10 @@ class Device {
 
  protected:
   simnet::Port& add_port(const std::string& ifname);
+
+  /// FNV-1a of the device name: the stable seed of its MACs and, on a host,
+  /// its ping identifier.
+  [[nodiscard]] std::uint32_t name_seed() const;
 
   /// Console commands every device understands regardless of type:
   /// "flash <version>" (re-flash firmware from the catalog, §2.1) and

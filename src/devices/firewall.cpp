@@ -4,18 +4,10 @@
 
 namespace rnl::devices {
 
-namespace {
-std::uint32_t name_seed(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-  return h;
-}
-}  // namespace
-
 FirewallModule::FirewallModule(simnet::Network& net, std::string name,
                                Firmware firmware)
     : Device(net, std::move(name), std::move(firmware)), cli_(this->name()) {
-  mac_ = packet::MacAddress::local(name_seed(this->name()) ^ 0x00F00F00u);
+  mac_ = packet::MacAddress::local(name_seed() ^ 0x00F00F00u);
   const char* names[3] = {"inside", "outside", "failover"};
   for (std::size_t i = 0; i < 3; ++i) {
     simnet::Port& p = add_port(names[i]);

@@ -4,18 +4,10 @@
 
 namespace rnl::devices {
 
-namespace {
-std::uint32_t name_seed(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-  return h;
-}
-}  // namespace
-
 Host::Host(simnet::Network& net, std::string name, Firmware firmware)
     : Device(net, std::move(name), std::move(firmware)), cli_(this->name()) {
-  mac_ = packet::MacAddress::local(name_seed(this->name()) | 0x80000000u);
-  ping_ident_ = static_cast<std::uint16_t>(name_seed(this->name()) & 0x7FFF);
+  mac_ = packet::MacAddress::local(name_seed() | 0x80000000u);
+  ping_ident_ = static_cast<std::uint16_t>(name_seed() & 0x7FFF);
   simnet::Port& p = add_port("eth0");
   p.set_receive_handler([this](util::BytesView bytes) {
     if (powered()) handle_frame(bytes);

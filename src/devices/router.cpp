@@ -7,14 +7,6 @@
 
 namespace rnl::devices {
 
-namespace {
-std::uint32_t name_seed(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-  return h;
-}
-}  // namespace
-
 bool AclEntry::matches(const packet::Ipv4Packet& pkt) const {
   if (protocol != 0 && pkt.protocol != protocol) return false;
   if ((pkt.src.value & ~src_wildcard) != (src.value & ~src_wildcard)) {
@@ -66,7 +58,7 @@ Ipv4Router::Ipv4Router(simnet::Network& net, std::string name,
     std::string ifname = util::format("Gi0/%zu", i + 1);
     simnet::Port& port = add_port(ifname);
     macs_.push_back(
-        packet::MacAddress::local(name_seed(name) * 31 +
+        packet::MacAddress::local(name_seed() * 31 +
                                   static_cast<std::uint32_t>(i) + 1));
     port.set_receive_handler([this, i](util::BytesView bytes) {
       if (powered()) handle_frame(i, bytes);

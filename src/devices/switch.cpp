@@ -13,12 +13,6 @@ std::uint64_t mac_key(packet::MacAddress mac) {
   for (auto o : mac.octets) v = (v << 8) | o;
   return v;
 }
-
-std::uint32_t name_seed(const std::string& name) {
-  std::uint32_t h = 2166136261u;
-  for (char c : name) h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-  return h;
-}
 }  // namespace
 
 std::string to_string(StpPortState state) {
@@ -55,7 +49,7 @@ EthernetSwitch::EthernetSwitch(simnet::Network& net, std::string name,
                                std::size_t num_ports, Firmware firmware)
     : Device(net, name, firmware), cli_(name) {
   bridge_id_.priority = 0x8000;
-  bridge_id_.mac = packet::MacAddress::local(name_seed(name));
+  bridge_id_.mac = packet::MacAddress::local(name_seed());
   hello_seconds_ = this->firmware().stp_hello_seconds;
   forward_delay_seconds_ = this->firmware().stp_forward_delay_seconds;
   max_age_seconds_ = this->firmware().stp_max_age_seconds;

@@ -141,6 +141,7 @@ void RouteServer::set_id_allocation(std::uint32_t shard_index,
   // Only before any assignment: re-striping live ids would orphan them.
   RNL_DCHECK(routers_.empty() && next_port_id_ == 1 && next_router_id_ == 1);
   id_stride_ = stride == 0 ? 1 : stride;
+  shard_index_ = shard_index;
   next_router_id_ = shard_index + 1;
   next_port_id_ = shard_index + 1;
 }
@@ -613,8 +614,7 @@ void RouteServer::handle_join(Site* site,
         ports_[port.id].owner = PortRecord{site, router.id};
         ++port_count_;
       }
-      routers_[router.id] = std::move(router);
-      router_sites_[ids.router_id] = site;
+      routers_[router.id] = LiveRouter{std::move(router), site};
       site->router_ids.push_back(ids.router_id);
       ack.routers.push_back(std::move(ids));
     }
@@ -683,9 +683,8 @@ bool RouteServer::rebind_retained(Site* site, const wire::JoinRequest& request,
       ++port_count_;
       if (ports_[port.id].wire.peer != 0) ++stats_.matrix_entries_restored;
     }
-    router_sites_[retained.id] = site;
     site->router_ids.push_back(retained.id);
-    routers_[retained.id] = std::move(retained);
+    routers_[retained.id] = LiveRouter{std::move(retained), site};
     ack.routers.push_back(std::move(ids));
   }
   registry.routers.clear();
@@ -753,15 +752,9 @@ void RouteServer::handle_data(Site* site,
   // no allocation — the fast path stays allocation-free.
   const std::uint64_t forward_start = util::monotonic_ns();
   if (wire_end.netem != nullptr) {
-    wire_end.netem->send(frame);  // sink delivers to the peer after the WAN
-  } else if (wire_end.remote) {
-    // Cross-shard wire: hand the frame to the owning shard's ring. The
-    // peer port id is already the destination; the receiving shard's drain
-    // loop finishes the delivery via deliver_remote.
-    ++stats_.cross_shard_frames_out;
-    if (remote_deliver_) remote_deliver_(wire_end.peer, frame, msg.trace_id);
+    wire_end.netem->send(frame);  // its sink forwards after the WAN delay
   } else {
-    deliver_to_port(wire_end.peer, frame, slow, msg.trace_id);
+    forward(wire_end, frame, slow, msg.trace_id);
   }
   const std::uint64_t forward_ns = util::monotonic_ns() - forward_start;
   forward_hist_->record(forward_ns);
@@ -793,6 +786,19 @@ void RouteServer::handle_data(Site* site,
     tracer_->note_slow({slow_id, forward_start, forward_ns,
                         tracer_->tail_threshold_ns(), msg.port_id,
                         wire_end.peer});
+  }
+}
+
+void RouteServer::forward(const WireEnd& end, util::BytesView frame, bool slow,
+                          std::uint64_t trace_id) {
+  if (end.remote) {
+    // Cross-shard wire: hand the frame to the owning shard's ring. The
+    // peer port id is already the destination; the receiving shard's drain
+    // loop finishes the delivery via deliver_remote.
+    ++stats_.cross_shard_frames_out;
+    if (remote_deliver_) remote_deliver_(end.peer, frame, trace_id);
+  } else {
+    deliver_to_port(end.peer, frame, slow, trace_id);
   }
 }
 
@@ -912,24 +918,23 @@ void RouteServer::remove_site(Site* site, bool orderly) {
   }
   for (wire::RouterId router_id : site->router_ids) {
     auto router = routers_.find(router_id);
-    if (router != routers_.end()) {
-      for (const auto& port : router->second.ports) {
-        if (orderly) disconnect_port(port.id);
-        if (PortSlot* slot = owned_port(port.id)) {
-          RNL_DCHECK(slot->owner.site == site);
-          RNL_DCHECK(port_count_ > 0);
-          slot->owner = PortRecord{};
-          --port_count_;
-        }
-        captures_.erase(port.id);
+    if (router == routers_.end()) continue;
+    InventoryRouter& inventory = router->second.inventory;
+    for (const auto& port : inventory.ports) {
+      if (orderly) disconnect_port(port.id);
+      if (PortSlot* slot = owned_port(port.id)) {
+        RNL_DCHECK(slot->owner.site == site);
+        RNL_DCHECK(port_count_ > 0);
+        slot->owner = PortRecord{};
+        --port_count_;
       }
-      if (registry != nullptr) {
-        router->second.online = false;
-        registry->routers.push_back(std::move(router->second));
-      }
-      routers_.erase(router);
+      captures_.erase(port.id);
     }
-    router_sites_.erase(router_id);
+    if (registry != nullptr) {
+      inventory.online = false;
+      registry->routers.push_back(std::move(inventory));
+    }
+    routers_.erase(router);
   }
   ++stats_.sites_lost;
   if (orderly) {
@@ -963,7 +968,7 @@ void RouteServer::purge_dead_sites() {
 std::vector<InventoryRouter> RouteServer::inventory() const {
   std::vector<InventoryRouter> out;
   out.reserve(routers_.size());
-  for (const auto& [id, router] : routers_) out.push_back(router);
+  for (const auto& [id, router] : routers_) out.push_back(router.inventory);
   return out;
 }
 
@@ -971,7 +976,7 @@ std::optional<InventoryRouter> RouteServer::find_router(
     wire::RouterId id) const {
   auto it = routers_.find(id);
   if (it == routers_.end()) return std::nullopt;
-  return it->second;
+  return it->second.inventory;
 }
 
 bool RouteServer::port_exists(wire::PortId id) const {
@@ -989,96 +994,78 @@ void RouteServer::ensure_port_tables(wire::PortId limit) {
 // Routing matrix
 // ---------------------------------------------------------------------------
 
-util::Status RouteServer::connect_ports(wire::PortId a, wire::PortId b,
-                                        wire::NetemProfile wan) {
-  if (a == b) return util::Error{"connect_ports: port cannot loop to itself"};
-  if (!port_exists(a) || !port_exists(b)) {
+util::Status RouteServer::connect_end(wire::PortId local, wire::PortId peer,
+                                      wire::NetemProfile wan) {
+  if (local == peer) {
+    return util::Error{"connect_ports: port cannot loop to itself"};
+  }
+  PortSlot* slot = owned_port(local);
+  if (slot == nullptr || peer == 0) {
     return util::Error{"connect_ports: unknown port id"};
   }
-  if (ports_[a].wire.peer != 0 || ports_[b].wire.peer != 0) {
+  if (slot->wire.peer != 0) {
     return util::Error{
         "connect_ports: port already wired (deployed labs must be mutually "
         "exclusive)"};
   }
-  auto make_end = [this, wan](wire::PortId dest) {
-    WireEnd end;
-    end.peer = dest;
-    bool impaired = wan.delay.nanos != 0 || wan.jitter.nanos != 0 ||
-                    wan.loss_probability != 0;
-    if (impaired) {
-      end.netem = std::make_unique<wire::Netem>(
-          scheduler_, wan, [this, dest](util::Bytes frame) {
-            deliver_to_port(dest, frame, /*slow=*/true);
-            // The WAN hand-off is a scheduler event of its own, outside any
-            // decode burst — flush so the frame leaves now.
-            flush_pending();
-          });
-      end.netem->set_applied_delay_histogram(netem_delay_hist_);
-    }
-    return end;
-  };
-  ports_[a].wire = make_end(b);
-  ports_[b].wire = make_end(a);
-  ++wires_;
+  WireEnd& end = slot->wire;
+  end.peer = peer;
+  // The id stripe (set_id_allocation) names the peer's shard, once here so
+  // the forward path never divides.
+  end.remote = (peer - 1) % id_stride_ != shard_index_;
+  if (wan.delay.nanos != 0 || wan.jitter.nanos != 0 ||
+      wan.loss_probability != 0) {
+    // Clearing the end destroys the netem and the frames still in it, so
+    // the sink always finds its own end in the table.
+    end.netem = std::make_unique<wire::Netem>(
+        scheduler_, wan, [this, local](util::Bytes frame) {
+          forward(ports_[local].wire, frame, /*slow=*/true, 0);
+          // The WAN hand-off is a scheduler event of its own, outside any
+          // decode burst — flush so the frame leaves now.
+          flush_pending();
+        });
+    end.netem->set_applied_delay_histogram(netem_delay_hist_);
+  }
+  if (local < peer) ++wires_;
+  return util::Status::Ok();
+}
+
+void RouteServer::clear_end(wire::PortId local) {
+  if (local >= ports_.size() || ports_[local].wire.peer == 0) return;
+  if (local < ports_[local].wire.peer) {
+    RNL_DCHECK(wires_ > 0);
+    --wires_;
+  }
+  ports_[local].wire = WireEnd{};
+}
+
+util::Status RouteServer::connect_ports(wire::PortId a, wire::PortId b,
+                                        wire::NetemProfile wan) {
+  util::Status status = connect_end(a, b, wan);
+  if (!status.ok()) return status;
+  status = connect_end(b, a, wan);
+  if (!status.ok()) {
+    clear_end(a);
+    return status;
+  }
   // Wires are symmetric by construction; the forwarding path relies on it.
   RNL_DCHECK(ports_[a].wire.peer == b && ports_[b].wire.peer == a);
   return util::Status::Ok();
 }
 
-util::Status RouteServer::connect_port_remote(wire::PortId local,
-                                              wire::PortId peer,
-                                              wire::NetemProfile wan) {
-  if (!port_exists(local)) {
-    return util::Error{"connect_port_remote: unknown local port id"};
-  }
-  if (ports_[local].wire.peer != 0) {
-    return util::Error{
-        "connect_port_remote: port already wired (deployed labs must be "
-        "mutually exclusive)"};
-  }
-  WireEnd end;
-  end.peer = peer;
-  end.remote = true;
-  const bool impaired = wan.delay.nanos != 0 || wan.jitter.nanos != 0 ||
-                        wan.loss_probability != 0;
-  if (impaired) {
-    // Each shard impairs the direction it sends; the netem sink hands the
-    // delayed frame to the cross-shard ring instead of a local port.
-    end.netem = std::make_unique<wire::Netem>(
-        scheduler_, wan, [this, peer](util::Bytes frame) {
-          ++stats_.cross_shard_frames_out;
-          if (remote_deliver_) remote_deliver_(peer, frame, 0);
-        });
-    end.netem->set_applied_delay_histogram(netem_delay_hist_);
-  }
-  ports_[local].wire = std::move(end);
-  ++remote_wire_ends_;
-  return util::Status::Ok();
-}
-
-void RouteServer::clear_remote_wire_end(wire::PortId local) {
-  if (local >= ports_.size() || !ports_[local].wire.remote) return;
-  ports_[local].wire = WireEnd{};
-  RNL_DCHECK(remote_wire_ends_ > 0);
-  --remote_wire_ends_;
-}
-
 void RouteServer::disconnect_port(wire::PortId port) {
   if (port >= ports_.size() || ports_[port].wire.peer == 0) return;
   const wire::PortId peer = ports_[port].wire.peer;
-  if (ports_[port].wire.remote) {
-    // Cross-shard wire: clear the local end, then let the sharded layer
-    // tell the owning shard to clear the other one (it posts a command —
-    // never a synchronous cross-shard call from the data path).
-    clear_remote_wire_end(port);
+  const bool remote = ports_[port].wire.remote;
+  clear_end(port);
+  if (remote) {
+    // The peer's end is another shard's: the sharded layer posts its clear
+    // there — never a synchronous cross-shard call from the data path.
     if (remote_disconnect_) remote_disconnect_(port, peer);
     return;
   }
   RNL_DCHECK(peer < ports_.size() && ports_[peer].wire.peer == port);
-  RNL_DCHECK(wires_ > 0);
-  ports_[port].wire = WireEnd{};
-  if (peer < ports_.size()) ports_[peer].wire = WireEnd{};
-  --wires_;
+  clear_end(peer);
 }
 
 std::optional<wire::PortId> RouteServer::connected_to(
@@ -1148,11 +1135,11 @@ util::Status RouteServer::inject_frame(wire::PortId port,
 
 util::Status RouteServer::console_send(wire::RouterId router,
                                        util::BytesView bytes) {
-  auto site = router_sites_.find(router);
-  if (site == router_sites_.end()) {
+  auto it = routers_.find(router);
+  if (it == routers_.end()) {
     return util::Error{"console_send: unknown router id"};
   }
-  send_control(site->second, wire::MessageType::kConsoleData, router, bytes);
+  send_control(it->second.site, wire::MessageType::kConsoleData, router, bytes);
   return util::Status::Ok();
 }
 

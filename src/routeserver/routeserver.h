@@ -182,7 +182,8 @@ class RouteServer {
 
   /// Stripe id assignment: this server hands out router/port ids
   /// shard_index+1, shard_index+1+stride, ... so stride-many shards never
-  /// collide and any id maps back to its owner as (id-1) % stride.
+  /// collide and any id maps back to its owner as (id-1) % stride — the
+  /// rule connect_end uses to tell a remote peer from a local one.
   /// Must be called before the first JOIN.
   void set_id_allocation(std::uint32_t shard_index, std::uint32_t stride);
 
@@ -201,17 +202,6 @@ class RouteServer {
   void set_remote_wire_handlers(RemoteDeliverHandler deliver,
                                 RemoteDisconnectHandler disconnect);
 
-  /// Installs this shard's end of a cross-shard wire: frames leaving
-  /// `local` go to the remote-deliver handler addressed to `peer`. `wan`
-  /// impairs this direction (each shard impairs what it sends, so a
-  /// profile passed to both ends behaves like a local wire's). Fails if
-  /// `local` is unknown or already wired.
-  util::Status connect_port_remote(wire::PortId local, wire::PortId peer,
-                                   wire::NetemProfile wan = {});
-  /// Clears the local end of a cross-shard wire without invoking the
-  /// remote-disconnect handler — the peer-shard half of a teardown.
-  void clear_remote_wire_end(wire::PortId local);
-
   /// Delivers a frame that crossed shards into `port` (the receiving
   /// shard's drain loop calls this for every ring pop). The frame's copy
   /// into the ring is booked here: its bytes in bytes_copied, and, when
@@ -221,9 +211,6 @@ class RouteServer {
                       std::uint64_t trace_id, bool copy_allocated);
   /// Public end-of-burst flush for external delivery loops (ring drains).
   void flush_egress() { flush_pending(); }
-  [[nodiscard]] std::size_t remote_wire_ends() const {
-    return remote_wire_ends_;
-  }
 
   /// Binds the data-plane owner-thread check to the calling thread (debug
   /// builds): every per-frame entry point RNL_DCHECKs it runs on this
@@ -332,15 +319,29 @@ class RouteServer {
   [[nodiscard]] bool port_exists(wire::PortId id) const;
 
   // -- Routing matrix --
-  /// Connects two ports with a virtual wire. Fails if either port is already
-  /// wired (matrix entries of simultaneous test labs must not overlap) or
-  /// unknown. `wan` impairs the wire in both directions (§3.5).
+  // A wire is two ends, each installed by the server that owns its port.
+  /// Installs `local`'s end of a wire to `peer`: frames leaving `local` go
+  /// to `peer`, through the remote-deliver handler when `peer`'s id stripe
+  /// belongs to another shard. `wan` impairs this direction only, so a
+  /// profile given to both ends impairs the wire both ways. Fails if
+  /// `local` is unknown here or already wired (matrix entries of
+  /// simultaneous test labs must not overlap), or `peer` is `local` or 0.
+  util::Status connect_end(wire::PortId local, wire::PortId peer,
+                           wire::NetemProfile wan = {});
+  /// Clears `local`'s end alone (no-op if unwired); the peer's end is its
+  /// owner's to clear.
+  void clear_end(wire::PortId local);
+  /// Installs both ends (both ports must be this server's), rolling the
+  /// first back if the second fails. `wan` impairs both directions (§3.5).
   util::Status connect_ports(wire::PortId a, wire::PortId b,
                              wire::NetemProfile wan = {});
-  /// Tears down the wire at `port` (both directions). No-op if unwired.
+  /// Tears down the wire at `port`: its own end, then the peer's — here, or
+  /// through the remote-disconnect handler. No-op if unwired.
   void disconnect_port(wire::PortId port);
   [[nodiscard]] std::optional<wire::PortId> connected_to(
       wire::PortId port) const;
+  /// Wires whose lower port id has its end here: each wire counts on one
+  /// server only, so the sum over shards is exact.
   [[nodiscard]] std::size_t wire_count() const;
 
   // -- Capture & generation (§2.3) --
@@ -457,8 +458,9 @@ class RouteServer {
   /// Members ordered so an end packs into 16 bytes and a PortSlot into 32.
   struct WireEnd {
     wire::PortId peer = 0;  // 0: unwired (port ids start at 1)
-    /// True when `peer` lives on another shard: frames leaving this end go
-    /// through the remote-deliver handler instead of deliver_to_port.
+    /// True when `peer` lives on another shard (decided once, by connect_end):
+    /// frames leaving this end go through the remote-deliver handler
+    /// instead of deliver_to_port.
     bool remote = false;
     std::unique_ptr<wire::Netem> netem;  // impairment toward `peer`
   };
@@ -475,6 +477,12 @@ class RouteServer {
                       const wire::MessageDecoder::DecodedView& decoded);
   void handle_join(Site* site, const wire::MessageDecoder::DecodedView& msg);
   void handle_data(Site* site, const wire::MessageDecoder::DecodedView& msg);
+  /// Hands a frame that left `end`'s port to the end's peer: the peer's
+  /// egress batch, or the remote-deliver handler for a cross-shard peer.
+  /// handle_data calls it for an unimpaired end, the end's netem sink
+  /// after the WAN delay.
+  void forward(const WireEnd& end, util::BytesView frame, bool slow,
+               std::uint64_t trace_id);
   /// Unified teardown for every way a site leaves — explicit kLeave
   /// (`orderly`), liveness eviction, transport error/close (un-orderly).
   /// Both paths clear the port tables and captures atomically; un-orderly
@@ -560,8 +568,13 @@ class RouteServer {
   std::vector<std::unique_ptr<Site>> sites_;
   /// Sites removed since the last purge, each queued once by remove_site.
   std::vector<Site*> dead_sites_;
-  std::map<wire::RouterId, InventoryRouter> routers_;
-  std::map<wire::RouterId, Site*> router_sites_;
+  /// Live routers: inventory and owning site, inserted at JOIN (or rebind)
+  /// and erased when the site goes.
+  struct LiveRouter {
+    InventoryRouter inventory;
+    Site* site = nullptr;
+  };
+  std::map<wire::RouterId, LiveRouter> routers_;
   /// Keyed by site name; see RetainedSite.
   std::map<std::string, RetainedSite> site_registry_;
   /// Dense table indexed by the server-assigned port id (slot 0 unused):
@@ -574,7 +587,7 @@ class RouteServer {
   /// Sites that are live (not dead), joined and shedding, kept at each
   /// regime transition so deploy admission never scans the shard.
   std::size_t sites_shedding_ = 0;
-  std::size_t wires_ = 0;       // live wires (matrix entries / 2)
+  std::size_t wires_ = 0;  // ends here whose port id is the lower of the two
   ConsoleOutputHandler console_output_;
   InventoryChangedHandler inventory_changed_;
   bool compression_enabled_ = false;
@@ -595,13 +608,14 @@ class RouteServer {
   EpochObserver epoch_observer_;
   wire::RouterId next_router_id_ = 1;
   wire::PortId next_port_id_ = 1;
-  /// Id allocation stride (set_id_allocation): 1 on an unsharded server.
+  /// Id allocation stripe (set_id_allocation): 0 of 1 on an unsharded
+  /// server.
+  std::uint32_t shard_index_ = 0;
   std::uint32_t id_stride_ = 1;
   /// Cross-shard wiring (all control-plane; the per-frame path only tests
   /// WireEnd::remote).
   RemoteDeliverHandler remote_deliver_;
   RemoteDisconnectHandler remote_disconnect_;
-  std::size_t remote_wire_ends_ = 0;
   /// Owner-thread pin for the data-plane entry points (debug builds; see
   /// bind_owner_thread). Default-bound to the constructing thread.
   std::thread::id owner_thread_ = std::this_thread::get_id();

@@ -115,11 +115,13 @@ ShardedRouteServer::ShardedRouteServer(Options options)
           out.copy_allocated = out.bytes.capacity() != capacity;
           link.frames.push(std::move(out));
         },
-        [this](wire::PortId /*local*/, wire::PortId peer) {
+        [this](wire::PortId local, wire::PortId peer) {
           const std::size_t d = shard_of_port(peer);
-          post(d, [this, d, peer] {
-            RNL_DCHECK(shards_[d]->server->on_owner_thread());
-            shards_[d]->server->clear_remote_wire_end(peer);
+          post(d, [this, d, local, peer] {
+            RouteServer& server = *shards_[d]->server;
+            RNL_DCHECK(server.on_owner_thread());
+            // A wire made since the post may hold the port; clear only ours.
+            if (server.connected_to(peer) == local) server.clear_end(peer);
           });
         });
   }
@@ -248,32 +250,20 @@ void ShardedRouteServer::pump_dispatch() {
 
 util::Status ShardedRouteServer::connect_ports(wire::PortId a, wire::PortId b,
                                                wire::NetemProfile wan) {
-  if (a == b) return util::Error{"connect_ports: port cannot loop to itself"};
+  // Each end impairs what it sends, so `wan` on both ends impairs the wire
+  // both ways.
   const std::size_t sa = shard_of_port(a);
   const std::size_t sb = shard_of_port(b);
-  if (sa == sb) {
-    util::Status status = util::Status::Ok();
-    run_on_shard(sa, [&] { status = shards_[sa]->server->connect_ports(a, b, wan); });
-    return status;
+  util::Status status = util::Status::Ok();
+  run_on_shard(sa,
+               [&] { status = shards_[sa]->server->connect_end(a, b, wan); });
+  if (!status.ok()) return status;
+  run_on_shard(sb,
+               [&] { status = shards_[sb]->server->connect_end(b, a, wan); });
+  if (!status.ok()) {
+    run_on_shard(sa, [&] { shards_[sa]->server->clear_end(a); });
   }
-  // Cross-shard wire: one remote end per side. Each end impairs the
-  // direction it sends, so passing `wan` to both matches the local wire's
-  // both-directions semantics.
-  util::Status status_a = util::Status::Ok();
-  run_on_shard(sa, [&] {
-    status_a = shards_[sa]->server->connect_port_remote(a, b, wan);
-  });
-  if (!status_a.ok()) return status_a;
-  util::Status status_b = util::Status::Ok();
-  run_on_shard(sb, [&] {
-    status_b = shards_[sb]->server->connect_port_remote(b, a, wan);
-  });
-  if (!status_b.ok()) {
-    run_on_shard(sa,
-                 [&] { shards_[sa]->server->clear_remote_wire_end(a); });
-    return status_b;
-  }
-  return util::Status::Ok();
+  return status;
 }
 
 void ShardedRouteServer::disconnect_port(wire::PortId port) {
@@ -334,15 +324,11 @@ util::Json ShardedRouteServer::metrics_json() {
 }
 
 std::size_t ShardedRouteServer::wire_count() {
-  std::size_t local_pairs = 0;
-  std::size_t remote_ends = 0;
+  std::size_t wires = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    run_on_shard(s, [&] {
-      local_pairs += shards_[s]->server->wire_count();
-      remote_ends += shards_[s]->server->remote_wire_ends();
-    });
+    run_on_shard(s, [&] { wires += shards_[s]->server->wire_count(); });
   }
-  return local_pairs + remote_ends / 2;
+  return wires;
 }
 
 std::uint64_t ShardedRouteServer::cross_shard_ring_drops() const {

@@ -11,9 +11,9 @@
 // site (lab/user) name. A shard never takes a lock on its per-frame path;
 // everything crossing shard boundaries goes through exactly two mechanisms:
 //
-//   - Cross-shard wires: when a deployed design really does wire two ports
-//     owned by different shards, each side installs a remote WireEnd
-//     (RouteServer::connect_port_remote). Frames crossing over are copied
+//   - Cross-shard wires: every wire is two ends, each installed by the shard
+//     that owns its port (RouteServer::connect_end), and an end whose peer
+//     port belongs to another shard is remote. Frames crossing over are copied
 //     into a recycled buffer and pushed through a lock-free SPSC ring
 //     (util::SpscRing) toward the owning shard — one ring per ordered shard
 //     pair, so single-producer/single-consumer holds by construction. A
@@ -137,8 +137,9 @@ class ShardedRouteServer {
 
   // -- Control plane (callable from the control thread in either mode) --
 
-  /// Wires two ports; same-shard pairs use the shard's local matrix,
-  /// cross-shard pairs install one remote end per side.
+  /// Wires two ports: each port's shard installs that port's end (one
+  /// run_on_shard hop each), and the first end is rolled back if the second
+  /// fails. Same-shard and cross-shard pairs take this one path.
   util::Status connect_ports(wire::PortId a, wire::PortId b,
                              wire::NetemProfile wan = {});
   void disconnect_port(wire::PortId port);
@@ -150,6 +151,8 @@ class ShardedRouteServer {
   /// Per-shard registry snapshots merged into one registry-shaped Json
   /// (MetricsRegistry::merge_snapshots).
   [[nodiscard]] util::Json metrics_json();
+  /// Sum of the shards' wire_count(): each wire counts once, on the shard
+  /// owning its lower port id, like the merged `routeserver.wires` gauge.
   [[nodiscard]] std::size_t wire_count();
   [[nodiscard]] std::uint64_t cross_shard_ring_drops() const;
 

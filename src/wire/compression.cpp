@@ -25,36 +25,47 @@ bool get_varint(util::ByteReader& r, std::uint32_t& value) {
   return false;  // varint too long
 }
 
+/// One op of the copy/literal diff of a frame against its reference.
+struct DiffOp {
+  std::size_t copy = 0;  // bytes equal to the reference
+  std::size_t lit = 0;   // then bytes taken from the frame
+};
+
+/// The op starting at offset `i` of `frame`: the copy run, then literals
+/// until the next worthwhile copy (>= 4 bytes) or the end.
+DiffOp next_op(util::BytesView frame, util::BytesView ref, std::size_t i) {
+  const std::size_t overlap = std::min(frame.size(), ref.size());
+  DiffOp op;
+  while (i + op.copy < overlap && frame[i + op.copy] == ref[i + op.copy]) {
+    ++op.copy;
+  }
+  const std::size_t j = i + op.copy;
+  while (j + op.lit < frame.size()) {
+    if (j + op.lit < overlap && frame[j + op.lit] == ref[j + op.lit]) {
+      std::size_t run = 1;
+      while (j + op.lit + run < overlap &&
+             frame[j + op.lit + run] == ref[j + op.lit + run]) {
+        ++run;
+      }
+      if (run >= 4) break;
+      op.lit += run;
+      continue;
+    }
+    ++op.lit;
+  }
+  return op;
+}
+
 /// Cost (bytes) of diffing `frame` against `ref` with the copy/literal
 /// scheme; bails out early once `budget` is exceeded.
 std::size_t diff_cost(util::BytesView frame, util::BytesView ref,
                       std::size_t budget) {
   std::size_t cost = 2;  // scheme byte + ref age
-  std::size_t i = 0;
-  std::size_t overlap = std::min(frame.size(), ref.size());
-  while (i < frame.size()) {
-    // Copy run.
-    std::size_t copy = 0;
-    while (i + copy < overlap && frame[i + copy] == ref[i + copy]) ++copy;
-    // Literal run: until the next worthwhile copy (>= 4 bytes) or the end.
-    std::size_t lit = 0;
-    std::size_t j = i + copy;
-    while (j + lit < frame.size()) {
-      if (j + lit < overlap && frame[j + lit] == ref[j + lit]) {
-        std::size_t run = 1;
-        while (j + lit + run < overlap &&
-               frame[j + lit + run] == ref[j + lit + run]) {
-          ++run;
-        }
-        if (run >= 4) break;
-        lit += run;
-        continue;
-      }
-      ++lit;
-    }
-    cost += 2 + lit;  // ~1-2 varint bytes each + literals
+  for (std::size_t i = 0; i < frame.size();) {
+    const DiffOp op = next_op(frame, ref, i);
+    cost += 2 + op.lit;  // ~1-2 varint bytes each + literals
     if (cost > budget) return cost;
-    i = j + lit;
+    i += op.copy + op.lit;
   }
   return cost;
 }
@@ -95,30 +106,12 @@ std::optional<util::BytesView> TemplateCompressor::compress(
     w.u8(0x01);  // scheme: template diff
     w.u8(static_cast<std::uint8_t>(best_age));
     put_varint(w, static_cast<std::uint32_t>(frame.size()));
-    std::size_t i = 0;
-    std::size_t overlap = std::min(frame.size(), ref.size());
-    while (i < frame.size()) {
-      std::size_t copy = 0;
-      while (i + copy < overlap && frame[i + copy] == ref[i + copy]) ++copy;
-      std::size_t lit = 0;
-      std::size_t j = i + copy;
-      while (j + lit < frame.size()) {
-        if (j + lit < overlap && frame[j + lit] == ref[j + lit]) {
-          std::size_t run = 1;
-          while (j + lit + run < overlap &&
-                 frame[j + lit + run] == ref[j + lit + run]) {
-            ++run;
-          }
-          if (run >= 4) break;
-          lit += run;
-          continue;
-        }
-        ++lit;
-      }
-      put_varint(w, static_cast<std::uint32_t>(copy));
-      put_varint(w, static_cast<std::uint32_t>(lit));
-      w.raw(frame.subspan(j, lit));
-      i = j + lit;
+    for (std::size_t i = 0; i < frame.size();) {
+      const DiffOp op = next_op(frame, ref, i);
+      put_varint(w, static_cast<std::uint32_t>(op.copy));
+      put_varint(w, static_cast<std::uint32_t>(op.lit));
+      w.raw(frame.subspan(i + op.copy, op.lit));
+      i += op.copy + op.lit;
     }
     compressed = w.size() < frame.size();
   }

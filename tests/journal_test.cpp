@@ -559,5 +559,67 @@ TEST(JournalStore, RefusesDocumentsTheSnapshotCouldNotReadBack) {
   EXPECT_EQ(events[0], nested(deepest));
 }
 
+TEST(JournalStreams, CompactionRefusesAStreamStateRecoveryCouldNotParse) {
+  // A snapshot nests each stream's state three levels deep, so recovery
+  // parses it back only if the state is at most Json::kMaxDepth - 3 deep.
+  // A deeper one would lose the whole snapshot, kv documents included.
+  auto nested = [](int depth) {
+    Json doc(1);
+    for (int i = 0; i < depth; ++i) doc = Json(util::JsonArray{doc});
+    return doc;
+  };
+  const Json shallow = *Json::parse(R"({"site":"hq","ports":[1,2,3]})");
+  TempDir dir;
+  {
+    JournalStore store(dir.path(), nullptr, no_fsync());
+    ASSERT_TRUE(store.put("shallow", shallow).ok());
+    int depth = Json::kMaxDepth - 3;
+    const auto registration = store.register_stream(
+        "deep", JournalStore::StreamHooks{[&] { return nested(depth); },
+                                          nullptr, nullptr});
+    ASSERT_TRUE(store.compact().ok());  // the deepest state that reads back
+    depth = Json::kMaxDepth - 2;
+    const util::Status refused = store.compact();
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.error().find("'deep'"), std::string::npos)
+        << refused.error();
+    EXPECT_EQ(store.stats().compactions, 1u);
+    // An append that must compact first fails with the compaction.
+    const Json big(std::string(2 * JournalStore::kCompactionFloorBytes, 'b'));
+    ASSERT_TRUE(store.put("big", big).ok());
+    EXPECT_FALSE(store.put("later", shallow).ok());
+    EXPECT_FALSE(store.contains("later"));
+  }
+  JournalStore store(dir.path(), nullptr, no_fsync());
+  EXPECT_EQ(store.stats().quarantined_records, 0u);
+  EXPECT_EQ(store.stats().snapshot_loads, 1u);
+  auto back = store.get("shallow");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, shallow);
+  EXPECT_TRUE(store.contains("big"));
+  EXPECT_FALSE(store.contains("later"));
+}
+
+TEST(JournalStreams, EventsForAnUnregisteredStreamSurviveCompaction) {
+  Json event = Json::object();
+  event.set("site", "us-west");
+  event.set("next", 2);
+  TempDir dir;
+  {
+    JournalStore store(dir.path(), nullptr, no_fsync());
+    ASSERT_TRUE(store.append("orphan", event).ok());
+    ASSERT_TRUE(store.compact().ok());  // truncates the log holding it
+  }
+  JournalStore store(dir.path(), nullptr, no_fsync());
+  std::vector<Json> replayed;
+  const auto registration = store.register_stream(
+      "orphan",
+      JournalStore::StreamHooks{
+          [] { return Json::object(); }, nullptr,
+          [&](const Json& tail) { replayed.push_back(tail); }});
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0], event);
+}
+
 }  // namespace
 }  // namespace rnl::core

@@ -6,10 +6,10 @@
 namespace fixture {
 
 void post(std::size_t shard, std::function<void()> fn);
-void clear_remote_wire_end(std::size_t peer);
+void clear_end(std::size_t peer);
 
 inline void teardown(std::size_t shard, std::size_t peer) {
-  post(shard, [peer] { clear_remote_wire_end(peer); });
+  post(shard, [peer] { clear_end(peer); });
 }
 
 }  // namespace fixture

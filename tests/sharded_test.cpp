@@ -245,6 +245,31 @@ class ShardedStack : public ::testing::Test {
     return 0;
   }
 
+  /// Wires h1 to h2 through a 200 ms one-way WAN profile, with site2
+  /// joined on `shard2`, and pings three times. Every echo must cross the
+  /// profile in both directions, which no cooperative pump delay (50 ms a
+  /// hop) matches. Returns the merged stats.
+  routeserver::RouteServerStats ping_over_impaired_wire(std::size_t shard2) {
+    join_on(0, site1);
+    join_on(shard2, site2);
+    wire::NetemProfile wan;
+    wan.delay = util::Duration::milliseconds(200);
+    EXPECT_TRUE(
+        server
+            .connect_ports(port_of("us-west/h1"), port_of("eu-central/h2"), wan)
+            .ok());
+    h1.ping(ip("10.0.0.2"), 3);
+    settle(60);
+    EXPECT_EQ(h1.ping_replies().size(), 3u);
+    for (const auto& reply : h1.ping_replies()) {
+      EXPECT_GE(reply.rtt.nanos, 2 * wan.delay.nanos);
+    }
+    const util::Json delays =
+        server.metrics_json()["histograms"]["wire.netem_applied_delay_ns"];
+    EXPECT_GE(delays["count"].as_int(), 6);  // three requests, three replies
+    return server.stats();
+  }
+
   simnet::Network net{31};
   ShardedRouteServer server;
   ris::RouterInterface site1;
@@ -337,6 +362,69 @@ TEST_F(ShardedStack, ConnectPortsRejectsUnknownAndSelfPairs) {
   p2 = port_of("eu-central/h2");
   EXPECT_TRUE(server.connect_ports(p1, p2).ok());
   EXPECT_EQ(server.wire_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One wire path: each port's shard installs that port's end
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedStack, MergedWiresGaugeCountsEveryWireOnce) {
+  join_on(0, site1);
+  join_on(1, site2);
+  const wire::PortId p1 = port_of("us-west/h1");
+  const wire::PortId p2 = port_of("eu-central/h2");
+  auto gauge = [&] {
+    return server.metrics_json()["gauges"]["routeserver.wires"].as_int();
+  };
+  // The wire counts on the shard owning its lower port id, whichever port
+  // the caller names first.
+  ASSERT_TRUE(server.connect_ports(p2, p1).ok());
+  EXPECT_EQ(server.wire_count(), 1u);
+  EXPECT_EQ(gauge(), 1);
+  server.disconnect_port(p2);
+  EXPECT_EQ(server.wire_count(), 0u);
+  EXPECT_EQ(gauge(), 0);
+}
+
+TEST_F(ShardedStack, ImpairedWireOnOneShardDelaysBothDirections) {
+  const auto stats = ping_over_impaired_wire(/*shard2=*/0);
+  EXPECT_EQ(stats.cross_shard_frames_out, 0u);
+  EXPECT_EQ(stats.cross_shard_frames_in, 0u);
+}
+
+TEST_F(ShardedStack, ImpairedWireAcrossShardsDelaysBothDirections) {
+  const auto stats = ping_over_impaired_wire(/*shard2=*/1);
+  // Each delayed frame leaves its netem for the ring, none is lost there.
+  EXPECT_GE(stats.cross_shard_frames_out, 6u);
+  EXPECT_EQ(stats.cross_shard_frames_in, stats.cross_shard_frames_out);
+  EXPECT_EQ(server.cross_shard_ring_drops(), 0u);
+}
+
+TEST_F(ShardedStack, WiringAFreePortToAWiredOneRollsBackTheFreeEnd) {
+  devices::Host h3(net, "h3");
+  site1.map_port(site1.add_router(&h3, "server h3", "host.png"), 0, "eth0");
+  join_on(0, site1);  // h1 and h3
+  join_on(1, site2);  // h2
+  const wire::PortId free = port_of("us-west/h1");
+  const wire::PortId same_shard = port_of("us-west/h3");
+  const wire::PortId other_shard = port_of("eu-central/h2");
+  // The free port has the lowest id, so its end would count the wire.
+  ASSERT_LT(free, same_shard);
+  ASSERT_LT(free, other_shard);
+  ASSERT_TRUE(server.connect_ports(same_shard, other_shard).ok());
+  for (const wire::PortId wired : {same_shard, other_shard}) {
+    // Free end first: it is installed, then rolled back when the wired
+    // port's shard refuses the second end. Wired end first: refused at once.
+    EXPECT_FALSE(server.connect_ports(free, wired).ok()) << wired;
+    EXPECT_FALSE(server.connect_ports(wired, free).ok()) << wired;
+    EXPECT_FALSE(server.shard(0).connected_to(free).has_value()) << wired;
+    EXPECT_EQ(server.wire_count(), 1u) << wired;
+    EXPECT_EQ(server.metrics_json()["gauges"]["routeserver.wires"].as_int(),
+              1)
+        << wired;
+  }
+  EXPECT_EQ(server.shard(0).connected_to(same_shard), other_shard);
+  EXPECT_EQ(server.shard(1).connected_to(other_shard), same_shard);
 }
 
 TEST_F(ShardedStack, FullWireRingDropsFramesLikeACongestedLink) {
